@@ -127,23 +127,27 @@ BENCHMARK_TEMPLATE(BM_StreamingSosTick, dsp::BatchBackend<4>)->Arg(7500);
 BENCHMARK_TEMPLATE(BM_StreamingSosTick, dsp::BatchBackend<8>)->Arg(7500);
 
 template <typename B>
-void BM_StreamingZeroPhaseFirPush(benchmark::State& state) {
+void BM_StreamingZeroPhaseFirChunk(benchmark::State& state) {
   dsp::DenormalGuard guard;
   dsp::BasicStreamingZeroPhaseFir<B> fir(dsp::design_lowpass(30, 20.0, kFs));
   const auto x = test_signal(static_cast<std::size_t>(state.range(0)));
-  std::vector<typename B::sample_t> out;
+  std::vector<typename B::sample_t> in, out;
+  for (const double v : x) in.push_back(bsample<B>(v));
+  std::vector<std::uint32_t> cum;
   out.reserve(x.size() + 64);
+  cum.reserve(x.size());
   for (auto _ : state) {
     out.clear();
-    for (const double v : x) fir.push(bsample<B>(v), out);
+    cum.clear();
+    fir.process_chunk(in, out, cum);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0) *
                           static_cast<std::int64_t>(B::kLanes));
 }
-BENCHMARK_TEMPLATE(BM_StreamingZeroPhaseFirPush, dsp::DoubleBackend)->Arg(7500);
-BENCHMARK_TEMPLATE(BM_StreamingZeroPhaseFirPush, dsp::BatchBackend<4>)->Arg(7500);
-BENCHMARK_TEMPLATE(BM_StreamingZeroPhaseFirPush, dsp::BatchBackend<8>)->Arg(7500);
+BENCHMARK_TEMPLATE(BM_StreamingZeroPhaseFirChunk, dsp::DoubleBackend)->Arg(7500);
+BENCHMARK_TEMPLATE(BM_StreamingZeroPhaseFirChunk, dsp::BatchBackend<4>)->Arg(7500);
+BENCHMARK_TEMPLATE(BM_StreamingZeroPhaseFirChunk, dsp::BatchBackend<8>)->Arg(7500);
 
 template <typename B>
 void BM_StreamingMovingAverageTick(benchmark::State& state) {

@@ -62,11 +62,12 @@ BENCH_INPUTS = {
     "BENCH_server.json": "./bench_server",
 }
 
-# The hosted-bench set the Release job gates; the footprint and server
-# inputs come from their own matrix jobs (`--only footprint`,
-# `--only server`).
+# The hosted-bench set the Release job gates; the footprint, server and
+# batch inputs come from their own jobs (`--only footprint`,
+# `--only server`, `--only batch`).
 HOSTED_INPUTS = [n for n in BENCH_INPUTS
-                 if n not in ("BENCH_footprint.json", "BENCH_server.json")]
+                 if n not in ("BENCH_footprint.json", "BENCH_server.json",
+                              "BENCH_batch.json")]
 
 
 def load_inputs(names):
@@ -214,9 +215,78 @@ def check_server(server, baselines):
     return failures
 
 
+def check_batch(batch, b_batch):
+    """The SIMD batch gate: lane identity (unconditional) plus the
+    ISA-tiered speedup floors and the tail-cost ceiling, which arm only
+    when the bench reports an AVX2-or-wider lane ISA. Runs in the
+    avx2-batch CI job via `--only batch`, where the floors can arm."""
+    failures = []
+    if not batch.get("batch_identical", False):
+        failures.append("batched beat streams differ from scalar (lane identity bug)")
+    else:
+        print("batch identity: lockstep lanes byte-identical to scalar sessions")
+    if not batch.get("fleet", {}).get("identical", False):
+        failures.append("batched fleet output differs from scalar fleet")
+    isa = batch.get("simd", "?")
+    w4 = batch.get("speedup_w4", 0.0)
+    w8 = batch.get("speedup_w8", 0.0)
+    w8_over_w4 = batch.get("w8_over_w4", 0.0)
+    # Floors are ISA-tiered. The W=4 floor arms on any AVX2+ build (one
+    # ymm per lane vector) but is lower on plain AVX2, where the fused
+    # front sped the scalar BASELINE up too. The absolute W=8 floor arms
+    # only under AVX-512 (one zmm per lane vector); on plain AVX2 the
+    # two-half PairLanes64 lowering (see dsp/simd.h) is instead held to
+    # the relative floor: W=8 must not lose to W=4.
+    w4_floor = (b_batch["batch_min_speedup_w4"] if isa == "avx512"
+                else b_batch["batch_min_speedup_w4_avx2"])
+    w8_floor = b_batch["batch_min_speedup_w8"]
+    w8_rel_floor = b_batch["batch_min_w8_over_w4"]
+    if batch.get("w4_enforced", False):
+        print(f"batch speedup W=4 [{isa}]: {w4:.2f}x (floor {w4_floor}x)")
+        if w4 < w4_floor:
+            failures.append(f"batch W=4 speedup {w4:.2f}x below floor {w4_floor}x")
+    else:
+        print(f"batch speedup W=4 [{isa}]: {w4:.2f}x (gate skipped: lane ISA "
+              f"is {isa}, floor arms on avx2 or wider)")
+    if batch.get("w8_enforced", False):
+        print(f"batch speedup W=8 [{isa}]: {w8:.2f}x (floor {w8_floor}x)")
+        if w8 < w8_floor:
+            failures.append(f"batch W=8 speedup {w8:.2f}x below floor {w8_floor}x")
+    else:
+        print(f"batch speedup W=8 [{isa}]: {w8:.2f}x (gate skipped: lane ISA "
+              f"is {isa}, floor arms on avx512)")
+    if batch.get("w8_rel_enforced", False):
+        print(f"batch W=8/W=4 ratio [{isa}]: {w8_over_w4:.2f}x "
+              f"(floor {w8_rel_floor}x)")
+        if w8_over_w4 < w8_rel_floor:
+            failures.append(
+                f"batch W=8 loses to W=4 ({w8_over_w4:.2f}x < {w8_rel_floor}x) — "
+                "the wide lowering regressed (dsp/simd.h PairLanes64)")
+    else:
+        print(f"batch W=8/W=4 ratio [{isa}]: {w8_over_w4:.2f}x (gate skipped: "
+              f"lane ISA is {isa}, floor arms on avx2 or wider)")
+    profile = batch.get("profile", {})
+    tail_us = profile.get("tail_us_per_beat", 0.0)
+    front_frac = profile.get("front_fraction", 0.0)
+    tail_ceiling = b_batch["batch_max_tail_us_per_beat"]
+    if batch.get("w4_enforced", False):
+        print(f"batch tail cost (W={profile.get('width', '?')}): "
+              f"{tail_us:.1f} us/beat (ceiling {tail_ceiling}), "
+              f"front fraction {front_frac:.2f}")
+        if tail_us > tail_ceiling:
+            failures.append(
+                f"batched beat tail {tail_us:.1f} us/beat exceeds ceiling "
+                f"{tail_ceiling} — the deferred-tail drain regressed")
+    else:
+        print(f"batch tail cost: {tail_us:.1f} us/beat (gate skipped: lane ISA "
+              f"is {isa}, ceiling arms on avx2 or wider)")
+
+    return failures
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description="bench/footprint regression gate")
-    ap.add_argument("--only", choices=["footprint", "server"],
+    ap.add_argument("--only", choices=["footprint", "server", "batch"],
                     help="check a single gate instead of the hosted-bench set")
     args = ap.parse_args()
 
@@ -232,6 +302,20 @@ def main() -> int:
                 print(f"  - {f}")
             return 1
         print("\nserver gate: loopback soak within all floors")
+        return 0
+
+    if args.only == "batch":
+        inputs = load_inputs(["BENCH_batch.json"])
+        failures = check_batch(
+            inputs["BENCH_batch.json"],
+            Baselines(inputs["baselines"]).owned_by(
+                BENCH_INPUTS["BENCH_batch.json"]))
+        if failures:
+            print("\nBATCH GATE FAILED:")
+            for f in failures:
+                print(f"  - {f}")
+            return 1
+        print("\nbatch gate: lane identity and armed speedup floors hold")
         return 0
 
     if args.only == "footprint":
@@ -256,7 +340,6 @@ def main() -> int:
     b_fixed = base.owned_by(BENCH_INPUTS["BENCH_fixed.json"])
     b_scen = base.owned_by(BENCH_INPUTS["BENCH_scenarios.json"])
     b_ckpt = base.owned_by(BENCH_INPUTS["BENCH_checkpoint.json"])
-    b_batch = base.owned_by(BENCH_INPUTS["BENCH_batch.json"])
     b_replay = base.owned_by(BENCH_INPUTS["BENCH_replay.json"])
     streaming = inputs["BENCH_streaming.json"]
     fleet = inputs["BENCH_fleet.json"]
@@ -364,68 +447,6 @@ def main() -> int:
           f"{checkpoint.get('restore_us_double', 0.0):.0f}/"
           f"{checkpoint.get('restore_us_q31', 0.0):.0f} us (double/q31); "
           f"{checkpoint.get('migrations_per_s', 0.0):.0f} migrations/s under load")
-
-    # --- SIMD batch backend -----------------------------------------------
-    batch = inputs["BENCH_batch.json"]
-    if not batch.get("batch_identical", False):
-        failures.append("batched beat streams differ from scalar (lane identity bug)")
-    else:
-        print("batch identity: lockstep lanes byte-identical to scalar sessions")
-    if not batch.get("fleet", {}).get("identical", False):
-        failures.append("batched fleet output differs from scalar fleet")
-    isa = batch.get("simd", "?")
-    w4 = batch.get("speedup_w4", 0.0)
-    w8 = batch.get("speedup_w8", 0.0)
-    w8_over_w4 = batch.get("w8_over_w4", 0.0)
-    # Floors are ISA-tiered. The W=4 floor arms on any AVX2+ build (one
-    # ymm per lane vector) but is lower on plain AVX2, where the fused
-    # front sped the scalar BASELINE up too. The absolute W=8 floor arms
-    # only under AVX-512 (one zmm per lane vector); on plain AVX2 the
-    # two-half PairLanes64 lowering (see dsp/simd.h) is instead held to
-    # the relative floor: W=8 must not lose to W=4.
-    w4_floor = (b_batch["batch_min_speedup_w4"] if isa == "avx512"
-                else b_batch["batch_min_speedup_w4_avx2"])
-    w8_floor = b_batch["batch_min_speedup_w8"]
-    w8_rel_floor = b_batch["batch_min_w8_over_w4"]
-    if batch.get("w4_enforced", False):
-        print(f"batch speedup W=4 [{isa}]: {w4:.2f}x (floor {w4_floor}x)")
-        if w4 < w4_floor:
-            failures.append(f"batch W=4 speedup {w4:.2f}x below floor {w4_floor}x")
-    else:
-        print(f"batch speedup W=4 [{isa}]: {w4:.2f}x (gate skipped: lane ISA "
-              f"is {isa}, floor arms on avx2 or wider)")
-    if batch.get("w8_enforced", False):
-        print(f"batch speedup W=8 [{isa}]: {w8:.2f}x (floor {w8_floor}x)")
-        if w8 < w8_floor:
-            failures.append(f"batch W=8 speedup {w8:.2f}x below floor {w8_floor}x")
-    else:
-        print(f"batch speedup W=8 [{isa}]: {w8:.2f}x (gate skipped: lane ISA "
-              f"is {isa}, floor arms on avx512)")
-    if batch.get("w8_rel_enforced", False):
-        print(f"batch W=8/W=4 ratio [{isa}]: {w8_over_w4:.2f}x "
-              f"(floor {w8_rel_floor}x)")
-        if w8_over_w4 < w8_rel_floor:
-            failures.append(
-                f"batch W=8 loses to W=4 ({w8_over_w4:.2f}x < {w8_rel_floor}x) — "
-                "the wide lowering regressed (dsp/simd.h PairLanes64)")
-    else:
-        print(f"batch W=8/W=4 ratio [{isa}]: {w8_over_w4:.2f}x (gate skipped: "
-              f"lane ISA is {isa}, floor arms on avx2 or wider)")
-    profile = batch.get("profile", {})
-    tail_us = profile.get("tail_us_per_beat", 0.0)
-    front_frac = profile.get("front_fraction", 0.0)
-    tail_ceiling = b_batch["batch_max_tail_us_per_beat"]
-    if batch.get("w4_enforced", False):
-        print(f"batch tail cost (W={profile.get('width', '?')}): "
-              f"{tail_us:.1f} us/beat (ceiling {tail_ceiling}), "
-              f"front fraction {front_frac:.2f}")
-        if tail_us > tail_ceiling:
-            failures.append(
-                f"batched beat tail {tail_us:.1f} us/beat exceeds ceiling "
-                f"{tail_ceiling} — the deferred-tail drain regressed")
-    else:
-        print(f"batch tail cost: {tail_us:.1f} us/beat (gate skipped: lane ISA "
-              f"is {isa}, ceiling arms on avx2 or wider)")
 
     # --- flight recorder: record overhead + replay fidelity ---------------
     replay = inputs["BENCH_replay.json"]

@@ -6,7 +6,7 @@
 // SessionBatch<W> packs W same-configuration sessions into a single
 // pipeline instantiated over dsp::BatchBackend<W>: every streaming
 // kernel of the sample-rate front (ECG cleaner, ICG conditioner, the
-// Pan-Tompkins filter front) ticks once per sample with LaneVec<W>
+// shared ecg::QrsFeatureFront) ticks once per sample with LaneVec<W>
 // operands, loading each coefficient once for W sessions. Control flow
 // that diverges per session — the QRS decision tail and everything past
 // the feature boundary — fans out into W scalar structures: per-lane
@@ -283,12 +283,8 @@ class SessionBatch final : public SessionBatchBase {
         a.maybe_drain_ensemble();
 
         rs.clear();
-        for (std::uint32_t k = ecg_lo; k < ecg_cum_[i]; ++k) {
-          tail.note_input(ecg_scratch_[k].lane(l));
-          const std::uint32_t f_lo = k > 0 ? feat_cum_[k - 1] : 0;
-          for (std::uint32_t f = f_lo; f < feat_cum_[k]; ++f)
-            tail.on_feature_sample(feat_out_[f].lane(l), rs);
-        }
+        ecg::replay_decision_tail(tail, ecg_scratch_, ecg_lo, ecg_cum_[i], feat_out_,
+                                  feat_cum_, rs, lane_of(l));
         ecg_lo = ecg_cum_[i];
         for (const std::size_t r : rs) a.on_r_peak(r);
         a.drain_ready(out[l]);
@@ -315,9 +311,15 @@ class SessionBatch final : public SessionBatchBase {
 
     ecg_scratch_.clear();
     ecg_stage_.finish(ecg_scratch_);
-    for (auto& rs : r_scratch_) rs.clear();
-    for (const sample_t v : ecg_scratch_) qrs_.push(v, r_scratch_.data());
-    qrs_.finish(r_scratch_.data());
+    feat_out_.clear();
+    feat_cum_.clear();
+    qrs_.front_chunk(ecg_scratch_, feat_out_, feat_cum_);
+    for (std::size_t l = 0; l < W; ++l) {
+      r_scratch_[l].clear();
+      ecg::replay_decision_tail(qrs_.decision_tail(l), ecg_scratch_, 0, ecg_scratch_.size(),
+                                feat_out_, feat_cum_, r_scratch_[l], lane_of(l));
+    }
+    qrs_.finish(feat_out_, r_scratch_.data());
     for (std::size_t l = 0; l < W; ++l) {
       for (const std::size_t r : r_scratch_[l]) assemblers_[l].on_r_peak(r);
       assemblers_[l].drain_ready(out[l]);
@@ -435,6 +437,11 @@ class SessionBatch final : public SessionBatchBase {
   }
 
  private:
+  /// Projection of a lane vector onto lane l, for the decision-tail replay.
+  static auto lane_of(std::size_t l) {
+    return [l](const sample_t& v) { return v.lane(l); };
+  }
+
   dsp::SampleRate fs_;
   PipelineConfig cfg_;
   std::size_t window_samples_;

@@ -79,26 +79,14 @@ SessionManager::~SessionManager() {
 // Pilot-side API
 // ---------------------------------------------------------------------------
 
-std::uint32_t SessionManager::do_add_session() {
-  // Historical static placement, kept for the deprecated wrapper only.
-  return do_add_session_on(
-      static_cast<std::uint32_t>(sessions_.size() % cfg_.workers));
-}
+SessionHandle SessionManager::open() { return open_on(least_loaded_worker()); }
 
-std::uint32_t SessionManager::do_add_session_on(std::uint32_t worker) {
+SessionHandle SessionManager::open_on(std::uint32_t worker) {
   if (worker >= workers_.size())
     throw std::out_of_range("SessionManager: unknown worker");
   const auto id = static_cast<std::uint32_t>(sessions_.size());
   sessions_.push_back(std::make_unique<Session>(id, worker, fs_, cfg_));
-  return id;
-}
-
-SessionHandle SessionManager::open() {
-  return SessionHandle(this, do_add_session_on(least_loaded_worker()));
-}
-
-SessionHandle SessionManager::open_on(std::uint32_t worker) {
-  return SessionHandle(this, do_add_session_on(worker));
+  return SessionHandle(this, id);
 }
 
 SessionManager::Session& SessionManager::checked_session(std::uint32_t session) {
@@ -237,9 +225,9 @@ void SessionManager::do_migrate(std::uint32_t session, std::uint32_t target_work
     throw std::out_of_range("SessionManager: unknown session id");
   if (target_worker >= workers_.size())
     throw std::out_of_range("SessionManager: unknown worker");
-  if (!started_) throw std::logic_error("SessionManager: migrate() before start()");
+  if (!started_) throw std::logic_error("SessionManager: migrate_to() before start()");
   Session& s = *sessions_[session];
-  if (s.finished) throw std::logic_error("SessionManager: migrate() after finish");
+  if (s.finished) throw std::logic_error("SessionManager: migrate_to() after finish");
 
   // 1. Ask the current owner to checkpoint. The work queue serializes
   //    this behind every chunk submitted so far, so the blob captures
@@ -285,11 +273,11 @@ void SessionManager::do_start_recording(std::uint32_t session,
                                      FlightRecorderConfig rcfg) {
   if (session >= sessions_.size())
     throw std::out_of_range("SessionManager: unknown session id");
-  if (!started_) throw std::logic_error("SessionManager: start_recording() before start()");
+  if (!started_) throw std::logic_error("SessionManager: record_start() before start()");
   if (sink == nullptr)
-    throw std::invalid_argument("SessionManager: start_recording() needs a sink");
+    throw std::invalid_argument("SessionManager: record_start() needs a sink");
   Session& s = *sessions_[session];
-  if (s.finished) throw std::logic_error("SessionManager: start_recording() after finish");
+  if (s.finished) throw std::logic_error("SessionManager: record_start() after finish");
   if (s.is_recording)
     throw std::logic_error("SessionManager: session is already being recorded");
 
@@ -323,7 +311,7 @@ std::unique_ptr<RecorderSink> SessionManager::do_stop_recording(
     throw std::logic_error("SessionManager: session is not being recorded");
   if (s.finished)
     throw std::logic_error(
-        "SessionManager: recording was already finalized by finish_session");
+        "SessionManager: recording was already finalized by finish");
 
   s.record_ack.store(false, std::memory_order_relaxed);
   Backoff backoff;

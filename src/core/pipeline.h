@@ -681,9 +681,9 @@ class BeatAssembler {
 /// Chunk-fed incremental engine, generic over the numeric backend.
 /// Internals:
 ///
-///  - the ECG cleaner, QRS detector and ICG conditioner advance sample by
-///    sample with carried state (O(chunk) work per push, no window
-///    recomputation);
+///  - the ECG cleaner, QRS feature front and ICG conditioner advance
+///    chunk by chunk with carried state (O(chunk) work per push, no
+///    window recomputation);
 ///  - cleaned ICG and raw impedance are retained in bounded ring buffers
 ///    (default 12 s) purely as *look-back* for delineation -- they are
 ///    never reprocessed;
@@ -796,15 +796,14 @@ class BasicStreamingBeatPipeline {
       icg_lo = icg_cum_[i];
       assembler_.maybe_drain_ensemble();
 
+      const std::uint32_t ecg_hi = ecg_cum_[i];
+      if (capture_)
+        for (std::uint32_t k = ecg_lo; k < ecg_hi; ++k)
+          captured_ecg_.push_back(ecg_real(ecg_scratch_[k]));
       r_scratch_.clear();
-      for (std::uint32_t k = ecg_lo; k < ecg_cum_[i]; ++k) {
-        if (capture_) captured_ecg_.push_back(ecg_real(ecg_scratch_[k]));
-        tail.note_input(ecg_scratch_[k]);
-        const std::uint32_t f_lo = k > 0 ? feat_cum_[k - 1] : 0;
-        for (std::uint32_t f = f_lo; f < feat_cum_[k]; ++f)
-          tail.on_feature_sample(feat_out_[f], r_scratch_);
-      }
-      ecg_lo = ecg_cum_[i];
+      ecg::replay_decision_tail(tail, ecg_scratch_, ecg_lo, ecg_hi, feat_out_, feat_cum_,
+                                r_scratch_);
+      ecg_lo = ecg_hi;
       for (const std::size_t r : r_scratch_) assembler_.on_r_peak(r);
       // Emit every beat whose aligned ICG is now complete -- done per
       // sample so the emission point (and thus the ring-buffer state it
@@ -830,14 +829,19 @@ class BasicStreamingBeatPipeline {
     }
     assembler_.maybe_drain_ensemble();
 
+    // The cleaner's flushed tail is the QRS front's last chunk, replayed
+    // like any other; then the detector flushes its own front.
     ecg_scratch_.clear();
     ecg_stage_.finish(ecg_scratch_);
+    if (capture_)
+      for (const sample_t v : ecg_scratch_) captured_ecg_.push_back(ecg_real(v));
+    feat_out_.clear();
+    feat_cum_.clear();
+    qrs_.front_chunk(ecg_scratch_, feat_out_, feat_cum_);
     r_scratch_.clear();
-    for (const sample_t v : ecg_scratch_) {
-      if (capture_) captured_ecg_.push_back(ecg_real(v));
-      qrs_.push(v, r_scratch_);
-    }
-    qrs_.finish(r_scratch_);
+    ecg::replay_decision_tail(qrs_.decision_tail(), ecg_scratch_, 0, ecg_scratch_.size(),
+                              feat_out_, feat_cum_, r_scratch_);
+    qrs_.finish(feat_out_, r_scratch_);
     for (const std::size_t r : r_scratch_) assembler_.on_r_peak(r);
     assembler_.drain_ready(emitted);
   }

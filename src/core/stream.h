@@ -1,14 +1,16 @@
 // Shared single-pass streaming infrastructure for the beat pipeline.
 //
-// Every stage consumes one sample per push() and appends zero or more
-// *delay-compensated* output samples: output index i always corresponds
-// to input index i, it is just emitted latency() samples later. finish()
+// Every stage has one feed verb, process_chunk(x, out, cum): it consumes
+// a chunk and appends zero or more *delay-compensated* output samples,
+// plus one `cum` entry per input sample (the absolute size of `out` once
+// that sample has been consumed). Output index i always corresponds to
+// input index i, it is just emitted latency() samples later. finish()
 // flushes the tail so a stream of n inputs always yields exactly n
-// outputs. Because each stage's state advances one sample at a time, the
+// outputs. Because each stage's state is carried across calls, the
 // composed pipeline is chunk-size invariant: any segmentation of the
-// input produces bit-identical output, which is what lets
-// BeatPipeline::process be a thin one-big-chunk wrapper around
-// StreamingBeatPipeline (see pipeline.h).
+// input (a chunk of one sample included) produces bit-identical output,
+// which is what lets BeatPipeline::process be a thin one-big-chunk
+// wrapper around StreamingBeatPipeline (see pipeline.h).
 //
 // Both stages are generic over the numeric backend (dsp/backend.h): the
 // DoubleBackend instantiations are the reference engine, the Q31Backend
@@ -55,36 +57,17 @@ class BasicEcgCleanerStage {
     if (cfg.enable_fir_stage) fir_.emplace(ecg_cleaner_fir_kernel(fs, cfg));
   }
 
-  void push(sample_t x, std::vector<sample_t>& out) {
-    if (!morph_.has_value()) {
-      if (fir_.has_value())
-        fir_->push(x, out);
-      else
-        out.push_back(x);
-      return;
-    }
-    if (!fir_.has_value()) {
-      morph_->push(x, out);
-      return;
-    }
-    scratch_.clear();
-    morph_->push(x, scratch_);
-    for (const sample_t v : scratch_) fir_->push(v, out);
-  }
-
-  /// Fused per-chunk form of push(): one pass per sub-stage over the
-  /// whole chunk instead of a per-sample morph->FIR dispatch chain. For
+  /// Feeds a chunk: one pass per sub-stage over the whole chunk. For
   /// every input sample appends one entry to `cum`: the absolute size of
   /// `out` after that sample's outputs (callers slice per-input output
-  /// ranges as [cum[i-1], cum[i])). Byte-identical to calling push() per
-  /// sample — each sub-stage sees the identical input sequence, only the
-  /// interleaving of *stage* work changes, never the order within a
-  /// stage.
+  /// ranges as [cum[i-1], cum[i])). Each sub-stage sees the identical
+  /// input sequence however the stream is chunked, so the output is
+  /// chunk-size invariant.
   void process_chunk(std::span<const sample_t> x, std::vector<sample_t>& out,
                      std::vector<std::uint32_t>& cum) {
     if (!morph_.has_value()) {
       if (fir_.has_value()) {
-        fir_->process_chunk_counted(x, out, cum);
+        fir_->process_chunk(x, out, cum);
       } else {
         for (const sample_t v : x) {
           out.push_back(v);
@@ -108,16 +91,17 @@ class BasicEcgCleanerStage {
     }
     const auto base = static_cast<std::uint32_t>(out.size());
     fir_cum_.clear();
-    fir_->process_chunk_counted(morph_arena_, out, fir_cum_);
+    fir_->process_chunk(morph_arena_, out, fir_cum_);
     for (std::size_t i = 0; i < x.size(); ++i)
       cum.push_back(morph_cum_[i] > 0 ? fir_cum_[morph_cum_[i] - 1] : base);
   }
 
   void finish(std::vector<sample_t>& out) {
     if (morph_.has_value() && fir_.has_value()) {
-      scratch_.clear();
-      morph_->finish(scratch_);
-      for (const sample_t v : scratch_) fir_->push(v, out);
+      morph_arena_.clear();
+      morph_->finish(morph_arena_);
+      fir_cum_.clear();
+      fir_->process_chunk(morph_arena_, out, fir_cum_);
       fir_->finish(out);
       return;
     }
@@ -159,10 +143,9 @@ class BasicEcgCleanerStage {
  private:
   std::optional<dsp::BasicStreamingBaselineRemover<B>> morph_;
   std::optional<dsp::BasicStreamingZeroPhaseFir<B>> fir_;
-  std::vector<sample_t> scratch_;
-  // process_chunk arenas: intermediate morph outputs and per-stage
-  // cumulative-output snapshots, reused across chunks (no steady-state
-  // allocation once grown).
+  // Arenas: intermediate morph outputs and per-stage cumulative-output
+  // snapshots, reused across chunks (no steady-state allocation once
+  // grown).
   std::vector<sample_t> morph_arena_;
   std::vector<std::uint32_t> morph_cum_;
   std::vector<std::uint32_t> fir_cum_;
@@ -199,27 +182,12 @@ class BasicIcgConditionerStage {
     }
   }
 
-  void push(sample_t x, std::vector<sample_t>& out) {
-    const std::size_t j = z_count_++;
-    // ICG = -dZ/dt with the batch derivative() stencil: the aligned central
-    // difference needs one sample of lookahead, the first sample uses the
-    // forward difference.
-    if (j == 1)
-      on_derivative(B::rescale(B::neg(B::sub(x, prev_[1])), fs_, gain_log2_), out);
-    else if (j >= 2)
-      on_derivative(B::half(B::rescale(B::neg(B::sub(x, prev_[0])), fs_, gain_log2_)),
-                    out);
-    prev_[0] = prev_[1];
-    prev_[1] = x;
-  }
-
-  /// Fused per-chunk form of push(): derivative stencil, low-pass FIR
-  /// and baseline high-pass each run as one flat pass over the chunk
-  /// instead of a per-sample lambda dispatch chain. Appends one `cum`
-  /// entry per input sample: the absolute size of `out` after that
-  /// sample's outputs. Byte-identical to the per-sample path — every
-  /// sub-stage consumes the identical sample sequence in the identical
-  /// order.
+  /// Feeds a chunk: derivative stencil, low-pass FIR and baseline
+  /// high-pass each run as one flat pass over the chunk. Appends one
+  /// `cum` entry per input sample: the absolute size of `out` after that
+  /// sample's outputs. ICG = -dZ/dt with the batch derivative() stencil:
+  /// the aligned central difference needs one sample of lookahead, the
+  /// first sample uses the forward difference.
   void process_chunk(std::span<const sample_t> x, std::vector<sample_t>& out,
                      std::vector<std::uint32_t>& cum) {
     d_arena_.clear();
@@ -237,20 +205,9 @@ class BasicIcgConditionerStage {
     }
     lp_arena_.clear();
     lp_cum_.clear();
-    lp_.process_chunk_counted(d_arena_, lp_arena_, lp_cum_);
+    lp_.process_chunk(d_arena_, lp_arena_, lp_cum_);
     const auto base = static_cast<std::uint32_t>(out.size());
-    hp_cum_.clear();
-    if (hp_.has_value()) {
-      for (const sample_t v : lp_arena_) {
-        hp_->push(v, out);
-        hp_cum_.push_back(static_cast<std::uint32_t>(out.size()));
-      }
-    } else {
-      for (const sample_t v : lp_arena_) {
-        out.push_back(v);
-        hp_cum_.push_back(static_cast<std::uint32_t>(out.size()));
-      }
-    }
+    high_pass(out);
     for (std::size_t i = 0; i < x.size(); ++i) {
       const std::uint32_t nd = d_cum_[i];
       const std::uint32_t nlp = nd > 0 ? lp_cum_[nd - 1] : 0;
@@ -259,15 +216,18 @@ class BasicIcgConditionerStage {
   }
 
   void finish(std::vector<sample_t>& out) {
-    // Trailing derivative sample: batch edge form -(x[n-1] - x[n-2]) * fs.
+    // Trailing derivative sample, fed as a one-sample chunk: batch edge
+    // form -(x[n-1] - x[n-2]) * fs.
+    d_arena_.clear();
     if (z_count_ >= 2)
-      on_derivative(B::rescale(B::neg(B::sub(prev_[1], prev_[0])), fs_, gain_log2_),
-                    out);
+      d_arena_.push_back(B::rescale(B::neg(B::sub(prev_[1], prev_[0])), fs_, gain_log2_));
     else if (z_count_ == 1)
-      on_derivative(sample_t{}, out);
-    lp_scratch_.clear();
-    lp_.finish(lp_scratch_);
-    for (const sample_t v : lp_scratch_) on_lowpassed(v, out);
+      d_arena_.push_back(sample_t{});
+    lp_arena_.clear();
+    lp_cum_.clear();
+    lp_.process_chunk(d_arena_, lp_arena_, lp_cum_);
+    lp_.finish(lp_arena_);
+    high_pass(out);
     if (hp_.has_value()) hp_->finish(out);
   }
 
@@ -306,28 +266,28 @@ class BasicIcgConditionerStage {
   }
 
  private:
-  void on_derivative(sample_t d, std::vector<sample_t>& out) {
-    lp_scratch_.clear();
-    lp_.push(d, lp_scratch_);
-    for (const sample_t v : lp_scratch_) on_lowpassed(v, out);
-  }
-
-  void on_lowpassed(sample_t v, std::vector<sample_t>& out) {
-    if (hp_.has_value())
-      hp_->push(v, out);
-    else
+  /// lp_arena_ through the optional baseline high-pass into `out`,
+  /// one hp_cum_ entry per low-passed sample.
+  void high_pass(std::vector<sample_t>& out) {
+    hp_cum_.clear();
+    if (hp_.has_value()) {
+      hp_->process_chunk(lp_arena_, out, hp_cum_);
+      return;
+    }
+    for (const sample_t v : lp_arena_) {
       out.push_back(v);
+      hp_cum_.push_back(static_cast<std::uint32_t>(out.size()));
+    }
   }
 
   dsp::SampleRate fs_;
   int gain_log2_;
   dsp::BasicStreamingZeroPhaseFir<B> lp_;
   std::optional<dsp::BasicStreamingZeroPhaseHighpass<B>> hp_;
-  std::vector<sample_t> lp_scratch_;
   sample_t prev_[2] = {};        ///< last two impedance samples
   std::size_t z_count_ = 0;
-  // process_chunk arenas: derivative and low-pass intermediates plus the
-  // per-stage cumulative-output snapshots, reused across chunks.
+  // Arenas: derivative and low-pass intermediates plus the per-stage
+  // cumulative-output snapshots, reused across chunks.
   std::vector<sample_t> d_arena_;
   std::vector<sample_t> lp_arena_;
   std::vector<std::uint32_t> d_cum_;

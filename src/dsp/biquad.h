@@ -9,7 +9,6 @@
 #include "dsp/backend.h"
 #include "dsp/types.h"
 
-#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -92,16 +91,6 @@ class BasicStreamingSos {
       v = B::biquad_tick(s.b0, s.b1, s.b2, s.a1, s.a2, states_[i], v);
     }
     return B::apply_gain(B::narrow(v), filter_.gain);
-  }
-  /// Back-compat alias for tick().
-  sample_t process(sample_t x) { return tick(x); }
-
-  /// Filters a chunk, appending x.size() output samples to `out`. Typed
-  /// span: feeding a double container to a Q31 instantiation (or vice
-  /// versa) is a compile error, not a silent truncation.
-  void process_chunk(std::span<const sample_t> x, std::vector<sample_t>& out) {
-    out.reserve(out.size() + x.size());
-    for (const sample_t v : x) out.push_back(tick(v));
   }
 
   void reset() {

@@ -74,13 +74,13 @@ FirCoefficients zero_phase_sos_kernel(const SosFilter& filter, double tol = 1e-6
 /// instantiation quantizes the taps to Q2.30 and runs 64-bit MAC loops
 /// with saturating edge reflection).
 ///
-/// Feeding x[0..n) through push() and then finish() produces exactly n
-/// output samples, where out[i] is aligned with input x[i] (the constant
-/// group delay of (len-1)/2 samples is absorbed: out[i] is emitted once
-/// x[i + delay()] has been consumed, and finish() flushes the tail by
-/// synthesizing the same odd-reflection extension filtfilt uses). The
-/// result is chunk-size invariant: any segmentation of the input yields
-/// bit-identical output.
+/// Feeding x[0..n) through process_chunk() and then finish() produces
+/// exactly n output samples, where out[i] is aligned with input x[i] (the
+/// constant group delay of (len-1)/2 samples is absorbed: out[i] is
+/// emitted once x[i + delay()] has been consumed, and finish() flushes
+/// the tail by synthesizing the same odd-reflection extension filtfilt
+/// uses). The result is chunk-size invariant: any segmentation of the
+/// input yields bit-identical output.
 template <typename B>
 class BasicStreamingZeroPhaseFir {
  public:
@@ -107,32 +107,19 @@ class BasicStreamingZeroPhaseFir {
     tail_.assign(half_ + 1, sample_t{});
   }
 
-  /// Feeds one sample; appends any newly aligned outputs to `out`.
-  void push(sample_t x, std::vector<sample_t>& out) {
-    const std::size_t raw = raw_count_++;
-    tail_[raw % tail_.size()] = x;
-    if (warm_) {
-      feed_extended(x, out);
-      return;
+  /// Feeds a chunk; appends newly aligned outputs to `out` and one
+  /// entry per input sample to `cum`: the absolute size of `out` once
+  /// that sample has been consumed (input i's outputs are
+  /// [cum[i-1], cum[i])). The counts let a caller that batches a stage
+  /// front re-associate each emitted sample with the input that
+  /// produced it. Typed span: cross-backend container mixups fail to
+  /// compile instead of truncating.
+  void process_chunk(std::span<const sample_t> x, std::vector<sample_t>& out,
+                     std::vector<std::uint32_t>& cum) {
+    for (const sample_t v : x) {
+      feed(v, out);
+      cum.push_back(static_cast<std::uint32_t>(out.size()));
     }
-    warmup_.push_back(x);
-    if (warmup_.size() < half_ + 1) return;
-    // Have x[0..half]: synthesize the odd-reflection prefix 2 x[0] - x[k]
-    // (k = half..1), then feed the buffered head. The last of these feeds
-    // emits out[0]; the stage is in steady state afterwards.
-    for (std::size_t k = half_; k >= 1; --k)
-      feed_extended(B::odd_reflect(warmup_[0], warmup_[k]), out);
-    for (const sample_t v : warmup_) feed_extended(v, out);
-    warmup_.clear();
-    warmup_.shrink_to_fit();
-    warm_ = true;
-  }
-
-  /// Feeds a chunk; appends newly aligned outputs to `out`. Typed span:
-  /// cross-backend container mixups fail to compile instead of
-  /// truncating.
-  void process_chunk(std::span<const sample_t> x, std::vector<sample_t>& out) {
-    for (const sample_t v : x) push(v, out);
   }
 
   /// End of stream: emits the remaining delay() samples (or, for streams
@@ -186,19 +173,6 @@ class BasicStreamingZeroPhaseFir {
     warm_ = false;
   }
 
-  /// Feeds a chunk, recording the cumulative output count after each
-  /// input: cum[k] - (entry count) outputs exist once x[0..k] has been
-  /// consumed. The counts are what lets a caller that batches the stage
-  /// front re-associate each emitted sample with the input that produced
-  /// it (core's fused per-chunk front).
-  void process_chunk_counted(std::span<const sample_t> x, std::vector<sample_t>& out,
-                             std::vector<std::uint32_t>& cum) {
-    for (const sample_t v : x) {
-      push(v, out);
-      cum.push_back(static_cast<std::uint32_t>(out.size()));
-    }
-  }
-
   /// Serializes the carried stream state — delay line, warm-up prefix
   /// buffer, suffix-synthesis tail and the counters that align them —
   /// for core::Checkpoint round trips. The kernel taps are construction
@@ -249,6 +223,27 @@ class BasicStreamingZeroPhaseFir {
   [[nodiscard]] const FirCoefficients& kernel() const { return kernel_; }
 
  private:
+  /// One raw sample through the warm-up/steady-state machine.
+  void feed(sample_t x, std::vector<sample_t>& out) {
+    const std::size_t raw = raw_count_++;
+    tail_[raw % tail_.size()] = x;
+    if (warm_) {
+      feed_extended(x, out);
+      return;
+    }
+    warmup_.push_back(x);
+    if (warmup_.size() < half_ + 1) return;
+    // Have x[0..half]: synthesize the odd-reflection prefix 2 x[0] - x[k]
+    // (k = half..1), then feed the buffered head. The last of these feeds
+    // emits out[0]; the stage is in steady state afterwards.
+    for (std::size_t k = half_; k >= 1; --k)
+      feed_extended(B::odd_reflect(warmup_[0], warmup_[k]), out);
+    for (const sample_t v : warmup_) feed_extended(v, out);
+    warmup_.clear();
+    warmup_.shrink_to_fit();
+    warm_ = true;
+  }
+
   void feed_extended(sample_t z, std::vector<sample_t>& out) {
     const std::size_t len = kernel_.taps.size();
     // Mirrored write: slot head_ and its +len twin always hold the same

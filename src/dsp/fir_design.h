@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -87,16 +86,6 @@ class BasicStreamingFir {
     }
     head_ = (head_ + 1) % delay_.size();
     return B::narrow(acc);
-  }
-  /// Back-compat alias for tick().
-  sample_t process(sample_t x) { return tick(x); }
-
-  /// Filters a chunk, appending x.size() output samples to `out`. Typed
-  /// span: feeding a double container to a Q31 instantiation (or vice
-  /// versa) is a compile error, not a silent truncation.
-  void process_chunk(std::span<const sample_t> x, std::vector<sample_t>& out) {
-    out.reserve(out.size() + x.size());
-    for (const sample_t v : x) out.push_back(tick(v));
   }
 
   /// Resets the delay line to zero.

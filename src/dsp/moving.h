@@ -52,8 +52,6 @@ class BasicStreamingMovingAverage {
     if (was_full) sum_ = B::acc_sub(sum_, oldest);
     return B::mean(sum_, buf_.size());
   }
-  /// Back-compat alias for tick().
-  sample_t process(sample_t x) { return tick(x); }
 
   void reset() {
     buf_.clear();

@@ -35,6 +35,7 @@
 #include "dsp/types.h"
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -65,21 +66,23 @@ class BasicStreamingZeroPhaseHighpass {
         base_(zero_phase_highpass_kernel(fs, m_, cfg)),
         raw_((base_.delay() + 4) * m_ + m_ + 2) {}
 
-  /// Feeds one sample; appends newly aligned high-passed outputs to `out`.
-  void push(sample_t x, std::vector<sample_t>& out) {
-    raw_.push(x);
-    ++in_count_;
-    block_acc_ = B::acc_add(block_acc_, x);
-    if (++block_fill_ == m_) {
-      feed_block(B::mean(block_acc_, m_), out);
-      block_acc_ = B::acc_zero();
-      block_fill_ = 0;
+  /// Feeds a chunk; appends newly aligned high-passed outputs to `out`
+  /// and one entry per input sample to `cum`: the absolute size of `out`
+  /// once that sample has been consumed. Typed span: cross-backend
+  /// container mixups fail to compile.
+  void process_chunk(std::span<const sample_t> x, std::vector<sample_t>& out,
+                     std::vector<std::uint32_t>& cum) {
+    for (const sample_t v : x) {
+      raw_.push(v);
+      ++in_count_;
+      block_acc_ = B::acc_add(block_acc_, v);
+      if (++block_fill_ == m_) {
+        feed_block(B::mean(block_acc_, m_), out);
+        block_acc_ = B::acc_zero();
+        block_fill_ = 0;
+      }
+      cum.push_back(static_cast<std::uint32_t>(out.size()));
     }
-  }
-
-  /// Typed span: cross-backend container mixups fail to compile.
-  void process_chunk(std::span<const sample_t> x, std::vector<sample_t>& out) {
-    for (const sample_t v : x) push(v, out);
   }
 
   /// End of stream: flushes the remaining delayed outputs (flat baseline
@@ -143,9 +146,12 @@ class BasicStreamingZeroPhaseHighpass {
   [[nodiscard]] std::size_t decimation() const { return m_; }
 
  private:
+  /// One block mean through the decimated baseline kernel, as a
+  /// one-sample chunk.
   void feed_block(sample_t mean, std::vector<sample_t>& out) {
     u_scratch_.clear();
-    base_.push(mean, u_scratch_);
+    u_cum_.clear();
+    base_.process_chunk(std::span<const sample_t>(&mean, 1), u_scratch_, u_cum_);
     for (const sample_t u : u_scratch_) on_baseline(u, out);
   }
 
@@ -182,6 +188,7 @@ class BasicStreamingZeroPhaseHighpass {
   BasicStreamingZeroPhaseFir<B> base_;     ///< baseline kernel, decimated rate
   RingBuffer<sample_t> raw_;               ///< inputs awaiting their baseline
   std::vector<sample_t> u_scratch_;
+  std::vector<std::uint32_t> u_cum_;
 
   typename B::acc_t block_acc_ = B::acc_zero();
   std::size_t block_fill_ = 0;

@@ -55,8 +55,12 @@ QrsDetection PanTompkins::detect(dsp::SignalView ecg) const {
   if (ecg.size() < static_cast<std::size_t>(fs_)) return det; // need >= 1 s
 
   OnlinePanTompkins online(fs_, cfg_);
-  online.push_chunk(ecg, det.r_samples);
-  online.finish(det.r_samples);
+  std::vector<double> feat;
+  std::vector<std::uint32_t> cum;
+  online.front_chunk(ecg, feat, cum);
+  replay_decision_tail(online.decision_tail(), ecg, 0, ecg.size(), feat, cum,
+                       det.r_samples);
+  online.finish(feat, det.r_samples);
 
   for (std::size_t i = 1; i < det.r_samples.size(); ++i)
     det.rr_intervals_s.push_back(

@@ -11,18 +11,20 @@
 //
 // The detector is split along its data-parallelism boundary:
 //
-//   feature front   band-pass, 5-point derivative, squaring, MWI --
-//                   counter-driven control flow, identical across
-//                   sessions, so the SIMD batch backend can tick W
-//                   sessions in lockstep (BatchOnlinePanTompkins).
+//   feature front   QrsFeatureFront: band-pass, 5-point derivative,
+//                   squaring, MWI -- counter-driven control flow,
+//                   identical across sessions, so the one implementation
+//                   runs scalar or ticks W sessions in lockstep on the
+//                   SIMD batch backend.
 //   decision tail   QrsDecisionTail: thresholds, candidate merging,
 //                   T-wave discrimination, search-back, refinement --
 //                   data-dependent branching that diverges per session,
 //                   so the batch detector fans out into W scalar tails.
 //
-// BasicOnlinePanTompkins composes one front with one tail and is
-// byte-for-byte the detector it was before the split (state layout in
-// checkpoints included).
+// BasicOnlinePanTompkins is one front plus one tail;
+// BatchOnlinePanTompkins is the front over BatchBackend<W> plus W tails.
+// Both are fed the same way: front_chunk() over a chunk, then
+// replay_decision_tail() per tail, then finish() at end of stream.
 #pragma once
 
 #include "dsp/backend.h"
@@ -34,6 +36,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -442,89 +445,55 @@ class QrsDecisionTail {
   std::size_t peaks_emitted_ = 0;
 };
 
-/// Online (sample-by-sample) Pan-Tompkins detector, generic over the
-/// numeric backend (dsp/backend.h): the feature front (band-pass,
-/// derivative, squaring, MWI) composed with one QrsDecisionTail.
-///
-/// The feature chain mirrors the batch one: the 5-15 Hz band-pass runs as
-/// a causal symmetric-kernel stage whose output equals the zero-phase
+/// The feature half of the online detector: the 5-15 Hz band-pass as a
+/// causal symmetric-kernel stage whose output equals the zero-phase
 /// filtfilt response (group delay absorbed internally; see
 /// StreamingZeroPhaseFir), followed by the aligned 5-point derivative,
-/// squaring and the 150 ms moving-window integration. Detection decisions
-/// are therefore made on (numerically) the same feature signal the batch
-/// detector sees, with a data-driven confirmation latency: an MWI
-/// candidate is final once the next MWI local maximum at least half a
-/// refractory later has been observed (or the stream ends).
+/// squaring and the 150 ms moving-window integration. Detection
+/// decisions are therefore made on (numerically) the same feature signal
+/// the batch detector sees.
 ///
-/// Under Q31Backend every sample-domain value (band-pass output, squared
-/// feature, MWI, the SPKI/NPKI thresholds and the slopes they gate on) is
-/// a Q1.31 integer; the power-of-two threshold weights of the original
-/// paper (1/8, 1/4, 7/8) become arithmetic shifts, and the fs factors of
-/// the derivative stencils cancel out of every comparison, so they are
-/// absorbed into the (implicit) feature scale instead of multiplied per
-/// sample. Indices, RR statistics and search-back bookkeeping stay in
-/// integer/double exactly as in the reference.
+/// The control flow is counter-driven and identical across sessions, so
+/// one implementation serves every backend: DoubleBackend and Q31Backend
+/// for one session, BatchBackend<W> for W sessions in lockstep (each
+/// band-pass tap and derivative coefficient loaded once for all lanes).
+/// Under Q31Backend every value is a Q1.31 integer, and the fs factors of
+/// the derivative stencils are absorbed into the (implicit) feature scale
+/// instead of multiplied per sample: they cancel out of every decision
+/// the tail makes.
 template <typename B>
-class BasicOnlinePanTompkins {
+class QrsFeatureFront {
  public:
   using sample_t = typename B::sample_t;
 
-  explicit BasicOnlinePanTompkins(dsp::SampleRate fs, const PanTompkinsConfig& cfg = {})
-      : fs_(fs),
-        mwi_win_(std::max<std::size_t>(
-            1, static_cast<std::size_t>(cfg.integration_window_s * fs))),
-        bp_(pan_tompkins_bandpass_kernel(fs, cfg)),
-        mwi_(mwi_win_),
-        tail_(fs, cfg) {}
+  QrsFeatureFront(dsp::SampleRate fs, const PanTompkinsConfig& cfg)
+      : fs_(fs), bp_(pan_tompkins_bandpass_kernel(fs, cfg)),
+        mwi_(std::max<std::size_t>(
+            1, static_cast<std::size_t>(cfg.integration_window_s * fs))) {}
 
-  /// Feeds one cleaned-ECG sample; appends the indices (absolute, in the
-  /// fed sample timeline) of any R peaks confirmed by it to `out`.
-  void push(sample_t x, std::vector<std::size_t>& out) {
-    tail_.note_input(x);
-    bp_scratch_.clear();
-    bp_.push(x, bp_scratch_);
-    for (const sample_t v : bp_scratch_) on_bp_sample(v, out);
-  }
-
-  /// Typed span: cross-backend container mixups fail to compile.
-  void push_chunk(std::span<const sample_t> x, std::vector<std::size_t>& out) {
-    for (const sample_t v : x) push(v, out);
-  }
-
-  /// Feature front only, fused per chunk: band-pass, derivative,
-  /// squaring and MWI run as flat passes, appending the integrated
-  /// feature samples to `feat` and one `cum` entry per input sample (the
-  /// absolute size of `feat` after that sample). The decision tail is
-  /// NOT driven and note_input() is NOT called — the caller replays the
-  /// features through decision_tail() itself, calling note_input(x[i])
-  /// before consuming sample i's feature range. That replay order is
-  /// exactly push()'s interleaving, so the result is byte-identical.
-  void front_chunk(std::span<const sample_t> x, std::vector<sample_t>& feat,
-                   std::vector<std::uint32_t>& cum) {
+  /// Feeds a chunk of cleaned ECG: band-pass, derivative, squaring and
+  /// MWI run as flat passes, appending the integrated feature samples to
+  /// `feat` and one `cum` entry per input sample (the absolute size of
+  /// `feat` after that sample).
+  void process_chunk(std::span<const sample_t> x, std::vector<sample_t>& feat,
+                     std::vector<std::uint32_t>& cum) {
     bp_arena_.clear();
     bp_cum_.clear();
-    bp_.process_chunk_counted(x, bp_arena_, bp_cum_);
-    const auto base = static_cast<std::uint32_t>(feat.size());
-    feat_cum_.clear();
-    for (const sample_t v : bp_arena_) {
-      sample_t f{};
-      if (bp_feature_step(v, f)) feat.push_back(f);
-      feat_cum_.push_back(static_cast<std::uint32_t>(feat.size()));
+    bp_.process_chunk(x, bp_arena_, bp_cum_);
+    std::size_t j = 0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      for (; j < bp_cum_[i]; ++j) feature_step(bp_arena_[j], feat);
+      cum.push_back(static_cast<std::uint32_t>(feat.size()));
     }
-    for (std::size_t i = 0; i < x.size(); ++i)
-      cum.push_back(bp_cum_[i] > 0 ? feat_cum_[bp_cum_[i] - 1] : base);
   }
 
-  /// The decision half, for callers driving the front via front_chunk().
-  [[nodiscard]] QrsDecisionTail<B>& decision_tail() { return tail_; }
-
-  /// End of stream: processes the pending candidate and flushes.
-  void finish(std::vector<std::size_t>& out) {
-    // Flush the band-pass stage, then the derivative tail with the batch
-    // edge fallbacks, then settle learning and the pending candidate.
-    bp_scratch_.clear();
-    bp_.finish(bp_scratch_);
-    for (const sample_t v : bp_scratch_) on_bp_sample(v, out);
+  /// End of stream: flushes the band-pass stage, then the trailing
+  /// derivative samples with the batch edge fallbacks, appending the
+  /// remaining feature samples to `feat`.
+  void finish(std::vector<sample_t>& feat) {
+    bp_arena_.clear();
+    bp_.finish(bp_arena_);
+    for (const sample_t v : bp_arena_) feature_step(v, feat);
 
     const std::size_t n = bp_count_;
     auto h = [&](std::size_t i) { return bp_hist_[i % 5]; };
@@ -539,38 +508,21 @@ class BasicOnlinePanTompkins {
       } else {
         d = B::rescale(B::sub(h(n - 1), h(n - 2)), fs_, 0);
       }
-      tail_.on_feature_sample(mwi_.tick(B::square(d)), out);
+      feat.push_back(mwi_.tick(B::square(d)));
       ++d_emitted_;
     }
-
-    tail_.settle(out);
   }
-
-  /// Quality-adaptive recovery hook (contact-gap resets): see
-  /// QrsDecisionTail::soft_reset. Filter state and sample counters are
-  /// kept; only the adaptive decision state restarts.
-  void soft_reset() { tail_.soft_reset(); }
 
   void reset() {
     bp_.reset();
     mwi_.reset();
-    bp_scratch_.clear();
     std::fill(std::begin(bp_hist_), std::end(bp_hist_), sample_t{});
     bp_count_ = 0;
     d_emitted_ = 0;
-    tail_.reset();
   }
 
-  [[nodiscard]] std::size_t samples_consumed() const { return tail_.samples_consumed(); }
-  [[nodiscard]] std::size_t peaks_emitted() const { return tail_.peaks_emitted(); }
-
-  /// Serializes the full carried detector state — feature chain (band
-  /// pass, derivative history, MWI), then the decision tail — for
-  /// core::Checkpoint round trips. The byte layout is identical to the
-  /// pre-split detector (front fields, then tail fields, in the same
-  /// order), so existing checkpoints restore unchanged. A restored
-  /// detector continues the stream bit-identically to one that was never
-  /// interrupted.
+  /// Serializes the band-pass, the derivative history and the MWI — the
+  /// front segment of the detector's checkpoint layout.
   template <typename W>
   void save_state(W& w) const {
     bp_.save_state(w);
@@ -578,7 +530,6 @@ class BasicOnlinePanTompkins {
     w.u64(bp_count_);
     w.u64(d_emitted_);
     mwi_.save_state(w);
-    tail_.save_state(w);
   }
 
   template <typename R>
@@ -588,17 +539,16 @@ class BasicOnlinePanTompkins {
     bp_count_ = r.u64();
     d_emitted_ = r.u64();
     mwi_.load_state(r);
-    tail_.load_state(r);
   }
 
  private:
-  /// One band-passed sample through the derivative/square/MWI chain.
-  /// Returns true and sets `f` when a feature sample is produced.
-  /// Aligned 5-point derivative with the batch edge fallbacks (see
-  /// five_point_derivative): d[0], d[1] use the one-sided/central forms,
-  /// d[i] for i >= 2 the centered 5-point stencil once x[i+2] exists. The
-  /// trailing d[n-2], d[n-1] are emitted by finish().
-  bool bp_feature_step(sample_t v, sample_t& f) {
+  /// One band-passed sample through the derivative/square/MWI chain,
+  /// appending the feature sample it produces, if any. Aligned 5-point
+  /// derivative with the batch edge fallbacks (see five_point_derivative):
+  /// d[0], d[1] use the one-sided/central forms, d[i] for i >= 2 the
+  /// centered 5-point stencil once x[i+2] exists. The trailing d[n-2],
+  /// d[n-1] are emitted by finish().
+  void feature_step(sample_t v, std::vector<sample_t>& feat) {
     bp_hist_[bp_count_ % 5] = v;
     const std::size_t j = bp_count_++;
     auto h = [&](std::size_t i) { return bp_hist_[i % 5]; };
@@ -612,47 +562,130 @@ class BasicOnlinePanTompkins {
           B::sub(B::sub(B::add(B::twice(h(j)), h(j - 1)), h(j - 3)), B::twice(h(j - 4))),
           fs_, 0));
     } else {
-      return false;
+      return;
     }
-    f = mwi_.tick(B::square(d));
+    feat.push_back(mwi_.tick(B::square(d)));
     ++d_emitted_;
-    return true;
-  }
-
-  void on_bp_sample(sample_t v, std::vector<std::size_t>& out) {
-    sample_t f{};
-    if (bp_feature_step(v, f)) tail_.on_feature_sample(f, out);
   }
 
   dsp::SampleRate fs_;
-  std::size_t mwi_win_;
-
-  // Feature chain (input timeline == feature timeline; the band-pass
-  // stage absorbs its own group delay).
+  // Input timeline == feature timeline: the band-pass stage absorbs its
+  // own group delay.
   dsp::BasicStreamingZeroPhaseFir<B> bp_;
-  std::vector<sample_t> bp_scratch_;
   sample_t bp_hist_[5] = {};        ///< last 5 band-passed samples
   std::size_t bp_count_ = 0;
   std::size_t d_emitted_ = 0;       ///< derivative samples emitted so far
-
-  // front_chunk arenas: band-pass intermediates and the per-stage
-  // cumulative-output snapshots, reused across chunks.
+  dsp::BasicStreamingMovingAverage<B> mwi_;
+  // Arenas: band-pass outputs and their per-input counts, reused across
+  // chunks.
   std::vector<sample_t> bp_arena_;
   std::vector<std::uint32_t> bp_cum_;
-  std::vector<std::uint32_t> feat_cum_;
+};
 
-  dsp::BasicStreamingMovingAverage<B> mwi_;
+/// Drives a decision tail over cleaned-ECG outputs [lo, hi) of one
+/// front_chunk() call, in the order a sample-at-a-time feed would:
+/// note_input(ecg[k]), then on_feature_sample over k's feature range
+/// [cum[k-1], cum[k]) (cum[-1] = 0). `lane` maps the front's sample type
+/// to the tail's: the identity for a scalar detector, one lane of the
+/// vector for the batch detector. Appends confirmed R peaks to `out`.
+template <typename Tail, typename Ecg, typename Feat, typename Lane = std::identity>
+void replay_decision_tail(Tail& tail, const Ecg& ecg, std::size_t lo, std::size_t hi,
+                          const Feat& feat, const std::vector<std::uint32_t>& cum,
+                          std::vector<std::size_t>& out, Lane lane = {}) {
+  for (std::size_t k = lo; k < hi; ++k) {
+    tail.note_input(lane(ecg[k]));
+    for (std::uint32_t f = k > 0 ? cum[k - 1] : 0; f < cum[k]; ++f)
+      tail.on_feature_sample(lane(feat[f]), out);
+  }
+}
+
+/// Online Pan-Tompkins detector, generic over the numeric backend
+/// (dsp/backend.h): one QrsFeatureFront composed with one
+/// QrsDecisionTail. An MWI candidate is final once the next MWI local
+/// maximum at least half a refractory later has been observed (or the
+/// stream ends), so confirmation latency is data-driven.
+///
+/// Feed path: front_chunk() runs the feature front over a chunk, then
+/// the caller replays its outputs through decision_tail() with
+/// replay_decision_tail() — the pipeline interleaves that replay with
+/// its other per-sample tails. finish() flushes the front and settles
+/// the tail.
+///
+/// Under Q31Backend the SPKI/NPKI thresholds and the slopes they gate on
+/// are Q1.31 integers too; the power-of-two threshold weights of the
+/// original paper (1/8, 1/4, 7/8) become arithmetic shifts. Indices, RR
+/// statistics and search-back bookkeeping stay in integer/double exactly
+/// as in the reference.
+template <typename B>
+class BasicOnlinePanTompkins {
+ public:
+  using sample_t = typename B::sample_t;
+
+  explicit BasicOnlinePanTompkins(dsp::SampleRate fs, const PanTompkinsConfig& cfg = {})
+      : front_(fs, cfg), tail_(fs, cfg) {}
+
+  /// The feature front over one chunk (see QrsFeatureFront::process_chunk).
+  /// The decision tail is NOT driven and note_input() is NOT called; the
+  /// caller replays the features with replay_decision_tail().
+  void front_chunk(std::span<const sample_t> x, std::vector<sample_t>& feat,
+                   std::vector<std::uint32_t>& cum) {
+    front_.process_chunk(x, feat, cum);
+  }
+
+  /// The decision half, for callers driving the front via front_chunk().
+  [[nodiscard]] QrsDecisionTail<B>& decision_tail() { return tail_; }
+
+  /// End of stream (after the last chunk's replay): flushes the front
+  /// into `feat` (appended; any arena), runs the tail over the flushed
+  /// features, then settles learning and the pending candidate.
+  void finish(std::vector<sample_t>& feat, std::vector<std::size_t>& out) {
+    const std::size_t lo = feat.size();
+    front_.finish(feat);
+    for (std::size_t f = lo; f < feat.size(); ++f) tail_.on_feature_sample(feat[f], out);
+    tail_.settle(out);
+  }
+
+  /// Quality-adaptive recovery hook (contact-gap resets): see
+  /// QrsDecisionTail::soft_reset. Filter state and sample counters are
+  /// kept; only the adaptive decision state restarts.
+  void soft_reset() { tail_.soft_reset(); }
+
+  void reset() {
+    front_.reset();
+    tail_.reset();
+  }
+
+  [[nodiscard]] std::size_t samples_consumed() const { return tail_.samples_consumed(); }
+  [[nodiscard]] std::size_t peaks_emitted() const { return tail_.peaks_emitted(); }
+
+  /// Serializes the full carried detector state — the feature front,
+  /// then the decision tail — for core::Checkpoint round trips. A
+  /// restored detector continues the stream bit-identically to one that
+  /// was never interrupted.
+  template <typename W>
+  void save_state(W& w) const {
+    front_.save_state(w);
+    tail_.save_state(w);
+  }
+
+  template <typename R>
+  void load_state(R& r) {
+    front_.load_state(r);
+    tail_.load_state(r);
+  }
+
+ private:
+  QrsFeatureFront<B> front_;
   QrsDecisionTail<B> tail_;
 };
 
 using OnlinePanTompkins = BasicOnlinePanTompkins<dsp::DoubleBackend>;
 
-/// Lockstep W-session Pan-Tompkins: the feature front runs once on the
-/// SIMD batch backend (each band-pass tap and derivative coefficient
-/// loaded once for all W sessions), then the integrated feature stream
-/// fans out into W scalar QrsDecisionTail<DoubleBackend> instances --
-/// the exact code the scalar detector runs, so lane i's emitted peaks
-/// are byte-identical to a scalar detector fed lane i's samples.
+/// Lockstep W-session Pan-Tompkins: the QrsFeatureFront runs once on the
+/// SIMD batch backend, then the integrated feature stream fans out into
+/// W scalar QrsDecisionTail<DoubleBackend> instances -- the exact code
+/// the scalar detector runs, so lane i's emitted peaks are
+/// byte-identical to a scalar detector fed lane i's samples.
 ///
 /// Divergence handling: the front has no data-dependent branches, so a
 /// lane inside a dropout gap or awaiting a soft reset simply keeps
@@ -672,75 +705,37 @@ class BatchOnlinePanTompkins {
   static constexpr std::size_t kLanes = W;
 
   explicit BatchOnlinePanTompkins(dsp::SampleRate fs, const PanTompkinsConfig& cfg = {})
-      : fs_(fs),
-        mwi_win_(std::max<std::size_t>(
-            1, static_cast<std::size_t>(cfg.integration_window_s * fs))),
-        bp_(pan_tompkins_bandpass_kernel(fs, cfg)),
-        mwi_(mwi_win_) {
+      : front_(fs, cfg) {
     tails_.reserve(W);
     for (std::size_t l = 0; l < W; ++l) tails_.emplace_back(fs, cfg);
   }
 
-  /// Feeds one cleaned-ECG sample per lane; appends lane l's confirmed
-  /// R-peak indices to out[l]. `out` must point at W vectors.
-  void push(sample_t x, std::vector<std::size_t>* out) {
-    for (std::size_t l = 0; l < W; ++l) tails_[l].note_input(x.lane(l));
-    bp_scratch_.clear();
-    bp_.push(x, bp_scratch_);
-    for (const sample_t v : bp_scratch_) on_bp_sample(v, out);
-  }
-
-  /// End of stream for all lanes in lockstep.
-  void finish(std::vector<std::size_t>* out) {
-    bp_scratch_.clear();
-    bp_.finish(bp_scratch_);
-    for (const sample_t v : bp_scratch_) on_bp_sample(v, out);
-
-    const std::size_t n = bp_count_;
-    auto h = [&](std::size_t i) { return bp_hist_[i % 5]; };
-    for (std::size_t i = d_emitted_; i < n; ++i) {
-      sample_t d{};
-      if (n == 1) {
-        d = sample_t{};
-      } else if (i == 0) {
-        d = backend_t::rescale(backend_t::sub(h(1), h(0)), fs_, 0);
-      } else if (i + 1 < n) {
-        d = backend_t::half(backend_t::rescale(backend_t::sub(h(i + 1), h(i - 1)), fs_, 0));
-      } else {
-        d = backend_t::rescale(backend_t::sub(h(n - 1), h(n - 2)), fs_, 0);
-      }
-      emit_feature(mwi_.tick(backend_t::square(d)), out);
-      ++d_emitted_;
-    }
-
-    for (std::size_t l = 0; l < W; ++l) tails_[l].settle(out[l]);
-  }
-
-  /// Feature front only, fused per chunk (see the scalar detector's
-  /// front_chunk): all W lanes' band-pass/derivative/square/MWI run in
-  /// lockstep over the whole chunk; `feat` receives the lane-vector
-  /// feature samples and `cum` one entry per input sample. The caller
-  /// replays lane l's features through decision_tail(l), calling
-  /// note_input per lane first — push()'s exact interleaving.
+  /// The feature front over one chunk, all W lanes in lockstep; `feat`
+  /// receives the lane-vector feature samples. The caller replays lane
+  /// l's features through decision_tail(l) with replay_decision_tail()
+  /// and a lane projection.
   void front_chunk(std::span<const sample_t> x, std::vector<sample_t>& feat,
                    std::vector<std::uint32_t>& cum) {
-    bp_arena_.clear();
-    bp_cum_.clear();
-    bp_.process_chunk_counted(x, bp_arena_, bp_cum_);
-    const auto base = static_cast<std::uint32_t>(feat.size());
-    feat_cum_.clear();
-    for (const sample_t v : bp_arena_) {
-      sample_t f{};
-      if (bp_feature_step(v, f)) feat.push_back(f);
-      feat_cum_.push_back(static_cast<std::uint32_t>(feat.size()));
-    }
-    for (std::size_t i = 0; i < x.size(); ++i)
-      cum.push_back(bp_cum_[i] > 0 ? feat_cum_[bp_cum_[i] - 1] : base);
+    front_.process_chunk(x, feat, cum);
   }
 
   /// Lane l's decision tail, for callers driving front_chunk().
   [[nodiscard]] QrsDecisionTail<dsp::DoubleBackend>& decision_tail(std::size_t lane) {
     return tails_[lane];
+  }
+
+  /// End of stream for all lanes in lockstep: flushes the front into
+  /// `feat` (appended), runs each lane's tail over the flushed features
+  /// and settles it, appending lane l's peaks to out[l]. `out` must
+  /// point at W vectors.
+  void finish(std::vector<sample_t>& feat, std::vector<std::size_t>* out) {
+    const std::size_t lo = feat.size();
+    front_.finish(feat);
+    for (std::size_t l = 0; l < W; ++l) {
+      for (std::size_t f = lo; f < feat.size(); ++f)
+        tails_[l].on_feature_sample(feat[f].lane(l), out[l]);
+      tails_[l].settle(out[l]);
+    }
   }
 
   /// Contact-gap recovery for one lane (see QrsDecisionTail::soft_reset);
@@ -752,70 +747,18 @@ class BatchOnlinePanTompkins {
   /// per-session byte streams are exactly the scalar detector layout.
   template <typename LW>
   void save_state(LW& w) const {
-    bp_.save_state(w);
-    for (const sample_t v : bp_hist_) w.value(v);
-    w.u64(bp_count_);
-    w.u64(d_emitted_);
-    mwi_.save_state(w);
+    front_.save_state(w);
     for (std::size_t l = 0; l < W; ++l) tails_[l].save_state(w.lane_writer(l));
   }
 
   template <typename LR>
   void load_state(LR& r) {
-    bp_.load_state(r);
-    for (sample_t& v : bp_hist_) v = r.template value<sample_t>();
-    bp_count_ = r.u64();
-    d_emitted_ = r.u64();
-    mwi_.load_state(r);
+    front_.load_state(r);
     for (std::size_t l = 0; l < W; ++l) tails_[l].load_state(r.lane_reader(l));
   }
 
  private:
-  /// One band-passed lane vector through the derivative/square/MWI
-  /// chain; mirrors the scalar bp_feature_step lane for lane.
-  bool bp_feature_step(sample_t v, sample_t& f) {
-    bp_hist_[bp_count_ % 5] = v;
-    const std::size_t j = bp_count_++;
-    auto h = [&](std::size_t i) { return bp_hist_[i % 5]; };
-    sample_t d{};
-    if (j == 1) {
-      d = backend_t::rescale(backend_t::sub(h(1), h(0)), fs_, 0);
-    } else if (j == 2) {
-      d = backend_t::half(backend_t::rescale(backend_t::sub(h(2), h(0)), fs_, 0));
-    } else if (j >= 4) {
-      d = backend_t::eighth(backend_t::rescale(
-          backend_t::sub(
-              backend_t::sub(backend_t::add(backend_t::twice(h(j)), h(j - 1)), h(j - 3)),
-              backend_t::twice(h(j - 4))),
-          fs_, 0));
-    } else {
-      return false;
-    }
-    f = mwi_.tick(backend_t::square(d));
-    ++d_emitted_;
-    return true;
-  }
-
-  void on_bp_sample(sample_t v, std::vector<std::size_t>* out) {
-    sample_t f{};
-    if (bp_feature_step(v, f)) emit_feature(f, out);
-  }
-
-  void emit_feature(sample_t f, std::vector<std::size_t>* out) {
-    for (std::size_t l = 0; l < W; ++l) tails_[l].on_feature_sample(f.lane(l), out[l]);
-  }
-
-  dsp::SampleRate fs_;
-  std::size_t mwi_win_;
-  dsp::BasicStreamingZeroPhaseFir<backend_t> bp_;
-  std::vector<sample_t> bp_scratch_;
-  sample_t bp_hist_[5] = {};
-  std::size_t bp_count_ = 0;
-  std::size_t d_emitted_ = 0;
-  std::vector<sample_t> bp_arena_;       ///< front_chunk band-pass arena
-  std::vector<std::uint32_t> bp_cum_;
-  std::vector<std::uint32_t> feat_cum_;
-  dsp::BasicStreamingMovingAverage<backend_t> mwi_;
+  QrsFeatureFront<backend_t> front_;
   std::vector<QrsDecisionTail<dsp::DoubleBackend>> tails_; ///< one per lane
 };
 

@@ -460,6 +460,9 @@ void FleetServer::emit_beat_records(const std::vector<core::FleetBeat>& beats) {
     Connection& c = *it->second.conn;
     Stream& st = *it->second.stream;
     if (fb.end_of_session) {
+      // The stream's last CACK goes out before its QUAL: once unrouted,
+      // emit_acks() no longer sees the stream.
+      emit_ack(c, st);
       core::StateWriter& w = rb_.begin(kTagQuality);
       w.u32(st.stream_id);
       encode_quality(w, fb.session_summary);
@@ -482,17 +485,18 @@ void FleetServer::emit_beat_records(const std::vector<core::FleetBeat>& beats) {
 }
 
 void FleetServer::emit_acks() {
-  for (const auto& [session, route] : routes_) {
-    Stream& st = *route.stream;
-    if (!st.want_acks) continue;
-    const std::uint64_t done = st.handle.processed();
-    if (done == st.last_ack) continue;
-    st.last_ack = done;
-    core::StateWriter& w = rb_.begin(kTagChunkAck);
-    w.u32(st.stream_id);
-    w.u64(done);
-    rb_.finish(route.conn->outbuf);
-  }
+  for (const auto& [session, route] : routes_) emit_ack(*route.conn, *route.stream);
+}
+
+void FleetServer::emit_ack(Connection& c, Stream& st) {
+  if (!st.want_acks) return;
+  const std::uint64_t done = st.handle.processed();
+  if (done == st.last_ack) return;
+  st.last_ack = done;
+  core::StateWriter& w = rb_.begin(kTagChunkAck);
+  w.u32(st.stream_id);
+  w.u64(done);
+  rb_.finish(c.outbuf);
 }
 
 void FleetServer::maybe_rebalance() {

@@ -188,7 +188,11 @@ class FleetServer {
   void send_error(Connection& c, WireErrorCode code, std::uint32_t stream,
                   const std::string& message, bool fatal);
   void emit_beat_records(const std::vector<core::FleetBeat>& beats);
+  /// Every routed stream's pending CACK (one per stream per tick).
   void emit_acks();
+  /// One stream's CACK, if it asked for acks and its processed-chunk
+  /// count moved since the last one.
+  void emit_ack(Connection& c, Stream& st);
   void reap_dead();
   Stream* find_stream(Connection& c, std::uint32_t stream_id);
 

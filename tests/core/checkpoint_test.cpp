@@ -182,14 +182,17 @@ TEST(CheckpointKernelTest, ZeroPhaseFirResumesBitIdentically) {
   for (double& v : x) v = rng.normal();
 
   for (const std::size_t cut : {1UL, 20UL, 100UL, 599UL}) {
+    // Fed one sample per chunk, so the cut may fall anywhere.
+    const std::span<const double> xs(x);
+    std::vector<std::uint32_t> cum;
     dsp::StreamingZeroPhaseFir ref(kernel);
     std::vector<double> ref_out;
-    for (const double v : x) ref.push(v, ref_out);
+    for (std::size_t i = 0; i < x.size(); ++i) ref.process_chunk(xs.subspan(i, 1), ref_out, cum);
     ref.finish(ref_out);
 
     dsp::StreamingZeroPhaseFir a(kernel);
     std::vector<double> out;
-    for (std::size_t i = 0; i < cut; ++i) a.push(x[i], out);
+    for (std::size_t i = 0; i < cut; ++i) a.process_chunk(xs.subspan(i, 1), out, cum);
     StateWriter w;
     w.begin_section("TEST");
     a.save_state(w);
@@ -201,7 +204,7 @@ TEST(CheckpointKernelTest, ZeroPhaseFirResumesBitIdentically) {
     r.begin_section("TEST");
     b.load_state(r);
     r.end_section();
-    for (std::size_t i = cut; i < x.size(); ++i) b.push(x[i], out);
+    for (std::size_t i = cut; i < x.size(); ++i) b.process_chunk(xs.subspan(i, 1), out, cum);
     b.finish(out);
     EXPECT_EQ(ref_out, out) << "cut " << cut;
   }

@@ -15,10 +15,10 @@
 //    (flight_seek) — checkpoint-resume equals straight-through.
 //  - Recording can begin mid-stream (the initial checkpoint makes the
 //    file self-contained) and can stop mid-stream (FINI finished=0).
-//  - Fleet integration: start_recording/stop_recording tap a live
+//  - Fleet integration: record_start/record_stop tap a live
 //    SessionManager session without perturbing any session's output,
 //    and the recorder rides the session across a mid-recording
-//    migrate().
+//    migrate_to().
 //  - Hostility: every flipped byte and every truncation of a flight
 //    record is refused with CheckpointError or surfaces as a clean
 //    frame-boundary end (the legal power-loss shape) — never UB.
@@ -292,7 +292,7 @@ TEST(FlightRecorderLifecycleTest, MidStreamStopVerifiesWithoutTail) {
 }
 
 // ---------------------------------------------------------------------------
-// Fleet integration: start_recording / stop_recording on a live session
+// Fleet integration: record_start / record_stop on a live session
 // ---------------------------------------------------------------------------
 
 struct FleetOutputs {
@@ -338,7 +338,7 @@ std::vector<FleetOutputs> run_fleet(const std::vector<synth::Recording>& workloa
                       dsp::SignalView(rec.z_ohm.data() + i, len), sink);
     }
   }
-  fleet.run_to_completion(sink);  // finish_session finalizes the recording
+  fleet.run_to_completion(sink);  // finish finalizes the recording
 
   std::vector<FleetOutputs> out(sessions);
   for (const FleetBeat& fb : sink) {
@@ -370,7 +370,7 @@ TEST(FleetRecordingTest, RecordingDoesNotPerturbAnySessionAndReplays) {
   }
   const FlightVerifyReport rep = core::flight_verify(file);
   EXPECT_TRUE(rep.ok) << "first divergent chunk " << rep.first_divergent_chunk;
-  EXPECT_TRUE(rep.finished);  // finish_session wrote the FINI marker
+  EXPECT_TRUE(rep.finished);  // finish wrote the FINI marker
   EXPECT_GT(rep.beats_recorded, 0u);
 }
 
@@ -418,7 +418,7 @@ TEST(FleetRecordingTest, StopRecordingLeavesAVerifiableFileAndSessionRuns) {
     h.push(dsp::SignalView(rec.ecg_mv.data() + i, len),
            dsp::SignalView(rec.z_ohm.data() + i, len), sink);
     if (file.empty() && i >= n / 2) {
-      // stop_recording hands the sink back to the pilot.
+      // record_stop hands the sink back to the pilot.
       std::unique_ptr<core::RecorderSink> returned = h.record_stop(sink);
       file = static_cast<BufferRecorderSink&>(*returned).take();
       EXPECT_FALSE(h.recording());

@@ -7,12 +7,21 @@
 // flagged, never referencing trimmed indices.
 #include "core/legacy_recompute.h"
 #include "core/pipeline.h"
+#include "core/stream.h"
+#include "dsp/zero_phase_highpass.h"
 
 #include "ecg/pan_tompkins.h"
 #include "synth/recording.h"
 #include "synth/subject.h"
 
+#include "../common/qrs_feed.h"
+
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 namespace icgkit::core {
 namespace {
@@ -189,16 +198,95 @@ TEST(OnlinePanTompkinsTest, ChunkInvariantAndEqualToBatchDetect) {
 
   for (const std::size_t chunk : kChunkSizes) {
     ecg::OnlinePanTompkins online(kFs);
-    std::vector<std::size_t> peaks;
-    for (std::size_t i = 0; i < rec.ecg_mv.size(); i += chunk)
-      online.push_chunk(dsp::SignalView(rec.ecg_mv.data() + i,
-                                        std::min(chunk, rec.ecg_mv.size() - i)),
-                        peaks);
-    online.finish(peaks);
+    const std::vector<std::size_t> peaks =
+        test_support::detect_chunked(online, rec.ecg_mv, chunk);
     ASSERT_EQ(peaks.size(), batch.r_samples.size()) << "chunk " << chunk;
     for (std::size_t i = 0; i < peaks.size(); ++i)
       EXPECT_EQ(peaks[i], batch.r_samples[i]) << "chunk " << chunk << " peak " << i;
   }
+}
+
+// Every stage has one feed verb, process_chunk(x, out, cum). Its
+// contract: one cum entry per input, cum[i] == out.size() once input i
+// has been consumed (so a call's last entry is its running total), and
+// the outputs and counts do not depend on the chunking.
+template <typename S>
+struct StageRun {
+  std::vector<S> out;
+  std::vector<std::uint32_t> cum;
+};
+
+template <typename Stage, typename S>
+StageRun<S> run_stage(Stage& stage, const std::vector<S>& x, std::size_t chunk) {
+  StageRun<S> run;
+  const std::span<const S> xs(x);
+  for (std::size_t i = 0; i < x.size(); i += chunk) {
+    const std::size_t len = std::min(chunk, x.size() - i);
+    const std::size_t before = run.cum.size();
+    stage.process_chunk(xs.subspan(i, len), run.out, run.cum);
+    EXPECT_EQ(run.cum.size(), before + len) << "chunk " << chunk << " at " << i;
+    EXPECT_EQ(run.cum.back(), run.out.size()) << "chunk " << chunk << " at " << i;
+  }
+  stage.finish(run.out);
+  return run;
+}
+
+template <typename MakeStage, typename S>
+void expect_stage_chunk_invariant(MakeStage make_stage, const std::vector<S>& x) {
+  auto ref_stage = make_stage();
+  const StageRun<S> ref = run_stage(ref_stage, x, 1);
+  ASSERT_EQ(ref.out.size(), x.size()) << "n inputs must yield n outputs";
+  for (const std::size_t chunk : kChunkSizes) {
+    auto stage = make_stage();
+    const StageRun<S> got = run_stage(stage, x, chunk);
+    EXPECT_TRUE(got.out == ref.out) << "outputs differ at chunk " << chunk;
+    EXPECT_EQ(got.cum, ref.cum) << "counts differ at chunk " << chunk;
+  }
+}
+
+template <typename B>
+std::vector<typename B::sample_t> to_backend(const dsp::Signal& x, double fullscale) {
+  std::vector<typename B::sample_t> out;
+  for (const double v : x) {
+    if constexpr (B::kFixed) out.push_back(B::from_real(v / fullscale));
+    else out.push_back(v);
+  }
+  return out;
+}
+
+template <typename B>
+void check_stages(const synth::Recording& rec) {
+  const dsp::Q31ScalingPolicy scaling{};
+  const PipelineConfig cfg{};
+  const auto e = to_backend<B>(rec.ecg_mv, scaling.ecg_fullscale_mv);
+  const auto z = to_backend<B>(rec.z_ohm, scaling.z_fullscale_ohm);
+  {
+    SCOPED_TRACE("ZeroPhaseHighpass");
+    expect_stage_chunk_invariant(
+        [&] { return dsp::BasicStreamingZeroPhaseHighpass<B>(kFs); }, e);
+  }
+  {
+    SCOPED_TRACE("EcgCleanerStage");
+    expect_stage_chunk_invariant(
+        [&] { return BasicEcgCleanerStage<B>(kFs, cfg.ecg_filter); }, e);
+  }
+  {
+    SCOPED_TRACE("IcgConditionerStage");
+    expect_stage_chunk_invariant(
+        [&] {
+          return BasicIcgConditionerStage<B>(kFs, cfg.icg_filter,
+                                             B::kFixed ? scaling.icg_gain_log2 : 0);
+        },
+        z);
+  }
+}
+
+TEST(StreamingStageTest, ChunkInvariantWithCumContractDouble) {
+  check_stages<dsp::DoubleBackend>(make_recording(12.0));
+}
+
+TEST(StreamingStageTest, ChunkInvariantWithCumContractQ31) {
+  check_stages<dsp::Q31Backend>(make_recording(12.0));
 }
 
 } // namespace

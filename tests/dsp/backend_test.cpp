@@ -15,12 +15,15 @@
 #include "synth/recording.h"
 #include "synth/subject.h"
 
+#include "../common/qrs_feed.h"
+
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <numbers>
+#include <span>
 #include <vector>
 
 namespace icgkit::dsp {
@@ -157,7 +160,8 @@ TEST(Q31KernelTest, ZeroPhaseFirTracksDoubleAndStaysChunkInvariant) {
 
   BasicStreamingZeroPhaseFir<DoubleBackend> zd(kernel);
   Signal yd;
-  zd.process_chunk(x, yd);
+  std::vector<std::uint32_t> cum;
+  zd.process_chunk(x, yd, cum);
   zd.finish(yd);
 
   std::vector<std::int32_t> xq;
@@ -166,10 +170,9 @@ TEST(Q31KernelTest, ZeroPhaseFirTracksDoubleAndStaysChunkInvariant) {
   for (const std::size_t chunk : {std::size_t{1}, std::size_t{64}, x.size()}) {
     BasicStreamingZeroPhaseFir<Q31Backend> zq(kernel);
     std::vector<std::int32_t> yq;
-    for (std::size_t i = 0; i < xq.size(); i += chunk) {
-      const std::size_t len = std::min(chunk, xq.size() - i);
-      for (std::size_t k = 0; k < len; ++k) zq.push(xq[i + k], yq);
-    }
+    const std::span<const std::int32_t> xs(xq);
+    for (std::size_t i = 0; i < xq.size(); i += chunk)
+      zq.process_chunk(xs.subspan(i, std::min(chunk, xq.size() - i)), yq, cum);
     zq.finish(yq);
     ASSERT_EQ(yq.size(), yd.size());
     for (std::size_t i = 0; i < yq.size(); ++i)
@@ -188,15 +191,15 @@ TEST(Q31KernelTest, OnlinePanTompkinsFindsTheSameBeats) {
       measure_device(roster[1], src, 50e3, synth::Position::ArmsOutstretched);
 
   ecg::BasicOnlinePanTompkins<DoubleBackend> pd(kFs);
-  std::vector<std::size_t> rd;
-  pd.push_chunk(rec.ecg_mv, rd);
-  pd.finish(rd);
+  const std::vector<std::size_t> rd =
+      test_support::detect_chunked(pd, rec.ecg_mv, rec.ecg_mv.size());
   ASSERT_GT(rd.size(), 15u);
 
+  // The Q31 detector fed one sample per chunk.
   ecg::BasicOnlinePanTompkins<Q31Backend> pq(kFs);
-  std::vector<std::size_t> rq;
-  for (const double v : rec.ecg_mv) pq.push(Q31Backend::from_real(v / 16.0), rq);
-  pq.finish(rq);
+  std::vector<std::int32_t> eq;
+  for (const double v : rec.ecg_mv) eq.push_back(Q31Backend::from_real(v / 16.0));
+  const std::vector<std::size_t> rq = test_support::detect_chunked(pq, eq, 1);
 
   ASSERT_EQ(rq.size(), rd.size());
   for (std::size_t i = 0; i < rd.size(); ++i) EXPECT_EQ(rq[i], rd[i]) << "peak " << i;

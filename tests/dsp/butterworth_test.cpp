@@ -120,7 +120,7 @@ TEST(ButterworthTest, StreamingMatchesBatch) {
   const Signal batch = sos_apply(f, x);
   StreamingSos stream(f);
   for (std::size_t i = 0; i < x.size(); ++i)
-    EXPECT_NEAR(stream.process(x[i]), batch[i], 1e-10) << "i=" << i;
+    EXPECT_NEAR(stream.tick(x[i]), batch[i], 1e-10) << "i=" << i;
 }
 
 class ButterCutoffSweep : public ::testing::TestWithParam<double> {};

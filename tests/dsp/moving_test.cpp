@@ -73,15 +73,15 @@ TEST(MovingTest, StreamingMatchesBatchMwi) {
   const Signal batch = moving_window_integrate(x, 9);
   StreamingMovingAverage stream(9);
   for (std::size_t i = 0; i < x.size(); ++i)
-    EXPECT_NEAR(stream.process(x[i]), batch[i], 1e-12) << i;
+    EXPECT_NEAR(stream.tick(x[i]), batch[i], 1e-12) << i;
 }
 
 TEST(MovingTest, StreamingReset) {
   StreamingMovingAverage s(4);
-  s.process(10.0);
-  s.process(20.0);
+  s.tick(10.0);
+  s.tick(20.0);
   s.reset();
-  EXPECT_DOUBLE_EQ(s.process(6.0), 6.0);
+  EXPECT_DOUBLE_EQ(s.tick(6.0), 6.0);
 }
 
 } // namespace

@@ -13,7 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <vector>
 
 namespace icgkit::dsp {
 namespace {
@@ -33,8 +35,9 @@ Signal noisy_signal(std::size_t n, std::uint64_t seed) {
 
 Signal run_streaming(StreamingZeroPhaseFir& st, SignalView x, std::size_t chunk) {
   Signal y;
+  std::vector<std::uint32_t> cum;
   for (std::size_t i = 0; i < x.size(); i += chunk)
-    st.process_chunk(x.subspan(i, std::min(chunk, x.size() - i)), y);
+    st.process_chunk(x.subspan(i, std::min(chunk, x.size() - i)), y, cum);
   st.finish(y);
   return y;
 }
@@ -109,7 +112,8 @@ TEST(StreamingZeroPhaseFirTest, ShortSignalStillAligned) {
   StreamingZeroPhaseFir st(g);
   const Signal x = noisy_signal(8, 10); // shorter than the group delay
   Signal y;
-  st.process_chunk(x, y);
+  std::vector<std::uint32_t> cum;
+  st.process_chunk(x, y, cum);
   st.finish(y);
   ASSERT_EQ(y.size(), x.size());
   for (const double v : y) EXPECT_TRUE(std::isfinite(v));

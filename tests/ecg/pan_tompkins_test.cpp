@@ -4,13 +4,21 @@
 #include "ecg/heart_rate.h"
 #include "synth/artifacts.h"
 #include "synth/ecg_synth.h"
+#include "synth/recording.h"
 #include "synth/rr_process.h"
 
 #include "dsp/stats.h"
 
+#include "../common/qrs_feed.h"
+
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 namespace icgkit::ecg {
 namespace {
@@ -190,6 +198,54 @@ TEST_P(PanTompkinsNoiseSweep, SensitivityDegradesGracefully) {
 
 INSTANTIATE_TEST_SUITE_P(NoiseLevels, PanTompkinsNoiseSweep,
                          ::testing::Values(0.0, 0.02, 0.05, 0.10, 0.15));
+
+// The batch detector is the shared feature front over BatchBackend<W>
+// plus W scalar decision tails: lane l's peaks, the finish flush
+// included, must equal a scalar detector fed lane l alone.
+TEST(BatchOnlinePanTompkinsTest, LanePeaksEqualScalarDetector) {
+  constexpr std::size_t kW = 4;
+  using Lanes = BatchOnlinePanTompkins<kW>::sample_t;
+  synth::RecordingConfig rcfg;
+  rcfg.duration_s = 20.0;
+  rcfg.session_seed = 5;
+  const auto workload = synth::make_fleet_workload(kW, rcfg);
+  const std::size_t n = workload[0].ecg_mv.size();
+  std::vector<Lanes> x(n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t l = 0; l < kW; ++l) x[i].set_lane(l, workload[l].ecg_mv[i]);
+  const std::span<const Lanes> xs(x);
+
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{64}, n}) {
+    BatchOnlinePanTompkins<kW> batch(kFs);
+    std::array<std::vector<std::size_t>, kW> peaks;
+    std::vector<Lanes> feat;
+    std::vector<std::uint32_t> cum;
+    for (std::size_t i = 0; i < n; i += chunk) {
+      const auto part = xs.subspan(i, std::min(chunk, n - i));
+      feat.clear();
+      cum.clear();
+      batch.front_chunk(part, feat, cum);
+      for (std::size_t l = 0; l < kW; ++l)
+        replay_decision_tail(batch.decision_tail(l), part, 0, part.size(), feat, cum,
+                             peaks[l], [l](const Lanes& v) { return v.lane(l); });
+    }
+    std::size_t before_finish = 0;
+    for (const auto& p : peaks) before_finish += p.size();
+    feat.clear();
+    batch.finish(feat, peaks.data());
+    std::size_t after_finish = 0;
+    for (const auto& p : peaks) after_finish += p.size();
+    EXPECT_GT(after_finish, before_finish) << "finish flushed no peak at chunk " << chunk;
+
+    for (std::size_t l = 0; l < kW; ++l) {
+      OnlinePanTompkins scalar(kFs);
+      const std::vector<std::size_t> ref =
+          test_support::detect_chunked(scalar, workload[l].ecg_mv, chunk);
+      ASSERT_GT(ref.size(), 15u) << "lane " << l;
+      EXPECT_EQ(peaks[l], ref) << "lane " << l << " chunk " << chunk;
+    }
+  }
+}
 
 TEST(HeartRateTest, StatsOnCleanSeries) {
   const std::vector<double> rr(20, 0.8);

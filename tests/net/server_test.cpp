@@ -20,6 +20,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <map>
 #include <vector>
@@ -250,6 +251,71 @@ TEST(ServerTest, LoopbackBeatsMatchDirectPipelineBytes) {
   EXPECT_EQ(stats.sessions_closed, kStreams);
   EXPECT_EQ(stats.shed_chunks, 0u);
   EXPECT_GT(stats.total_beats, 0u);
+}
+
+// A stream's last CACK must reach the client before its QUAL and count
+// every chunk. Short streams sent in one burst make the hard case the
+// common one: the last chunks and the finish complete on the worker in
+// the same server tick that sends the QUAL.
+TEST(ServerTest, FinalCackPrecedesQualOnShortStreams) {
+  const auto workload = test_workload(1, 1.5);
+  const synth::Recording& rec = workload[0];
+  constexpr std::uint32_t kRounds = 24;
+  constexpr std::uint32_t kPerRound = 16;
+
+  auto cfg = test_config(2);
+  cfg.fs_hz = rec.fs;
+  net::FleetServer server(cfg);
+  ASSERT_EQ(server.bind(), net::ServerStatus::Ok);
+  server.start();
+
+  net::FleetClient client;
+  ASSERT_TRUE(client.connect_loopback(server.port(), /*want_acks=*/true));
+  const std::size_t n = rec.ecg_mv.size();
+  const std::uint64_t chunks = (n + kChunk - 1) / kChunk;
+  // The whole stream fits the advertised window: no CACK wait, no shed.
+  ASSERT_LE(chunks, client.server_hello().max_inflight);
+
+  std::size_t short_acked = 0;
+  std::uint32_t first_short = 0;
+  std::vector<net::ClientEvent> events;
+  for (std::uint32_t round = 0; round < kRounds; ++round) {
+    const std::uint32_t first = round * kPerRound;
+    for (std::uint32_t s = first; s < first + kPerRound; ++s) {
+      client.open_stream(s);
+      for (std::size_t i = 0; i < n; i += kChunk) {
+        const std::size_t len = std::min(kChunk, n - i);
+        client.send_chunk(s, {rec.ecg_mv.data() + i, len}, {rec.z_ohm.data() + i, len});
+      }
+      client.close_stream(s);
+    }
+    std::map<std::uint32_t, std::uint64_t> last_ack;
+    std::uint32_t closed = 0;
+    events.clear();
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (closed < kPerRound && client.connected() &&
+           std::chrono::steady_clock::now() < deadline) {
+      const std::size_t before = events.size();
+      client.poll_events(events, 100);
+      for (std::size_t k = before; k < events.size(); ++k) {
+        const net::ClientEvent& ev = events[k];
+        if (ev.type == net::ClientEvent::Type::ChunkAck) {
+          last_ack[ev.stream] = ev.count;
+        } else if (ev.type == net::ClientEvent::Type::Quality) {
+          ++closed;
+          if (last_ack[ev.stream] != chunks && short_acked++ == 0) first_short = ev.stream;
+        } else if (ev.type == net::ClientEvent::Type::Shed) {
+          ADD_FAILURE() << "windowed stream " << ev.stream << " was shed";
+        }
+      }
+    }
+    ASSERT_EQ(closed, kPerRound) << "round " << round << " lost a QUAL";
+  }
+  EXPECT_EQ(short_acked, 0u) << "streams whose last CACK before QUAL was not " << chunks
+                             << " (first: stream " << first_short << ")";
+
+  client.bye();
+  server.stop();
 }
 
 TEST(ServerTest, UnthrottledFloodShedsExplicitly) {
