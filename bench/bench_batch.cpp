@@ -23,6 +23,11 @@
 // measures the front-vs-tail wall-time split so the Amdahl denominator
 // is reported, not inferred — the gated speedups come from the
 // uninstrumented runs.
+//
+// The single-thread legs run the build's own batch object
+// (dsp::LaneTarget::Build, the ISA dsp::compiled_lane_isa() names), the
+// engine the committed floors were set against; the fleet leg runs
+// whatever SessionManager dispatches to on this CPU (dsp::lane_isa()).
 #include "core/batch.h"
 #include "core/beat_serializer.h"
 #include "core/fleet.h"
@@ -113,8 +118,10 @@ Leg run_batched(const std::vector<synth::Recording>& workload, std::size_t sessi
   std::vector<std::unique_ptr<core::SessionBatchBase>> batches;
   std::vector<std::vector<std::uint8_t>> blobs(width);
   for (std::size_t g = 0; g < groups; ++g) {
-    auto b = core::make_session_batch(width, workload[0].fs, core::PipelineConfig{});
-    // Production entry point: lanes absorb fresh scalar checkpoints.
+    auto b = core::make_session_batch_on(dsp::LaneTarget::Build, width, workload[0].fs,
+                                         core::PipelineConfig{});
+    // Lanes absorb fresh scalar checkpoints (pack(), the repack entry
+    // point); a fresh batch is the same state.
     for (std::size_t l = 0; l < width; ++l) {
       core::StreamingBeatPipeline fresh(workload[0].fs, core::PipelineConfig{});
       blobs[l] = fresh.checkpoint();
@@ -211,7 +218,8 @@ int main() {
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
 
   report::banner(std::cout, "SIMD batch backend: lockstep lanes vs scalar sessions");
-  std::cout << "lane ISA: " << dsp::lane_isa() << ", sessions: " << sessions
+  std::cout << "lane ISA: " << dsp::compiled_lane_isa()
+            << " (fleet leg dispatches to " << dsp::lane_isa() << "), sessions: " << sessions
             << ", recording: " << duration_s << " s @ 250 Hz, chunk: " << kChunk
             << " samples\n";
 
@@ -297,7 +305,7 @@ int main() {
   // on plain AVX2 too (the denominator moved), so the ratio floor there
   // is lower than on AVX-512 even though absolute batched throughput is
   // comparable.
-  const std::string isa = dsp::lane_isa();
+  const std::string isa = dsp::compiled_lane_isa();
   const bool w4_enforced = isa == "avx2" || isa == "avx512";
   const bool w8_enforced = isa == "avx512";
   const bool w8_rel_enforced = isa == "avx2" || isa == "avx512";
@@ -320,7 +328,8 @@ int main() {
                     (w8_ok || !w8_enforced) && (w8_rel_ok || !w8_rel_enforced);
 
   std::ofstream json("BENCH_batch.json");
-  json << "{\n  \"simd\": \"" << isa << "\",\n  \"hardware_threads\": " << hw
+  json << "{\n  \"simd\": \"" << isa << "\",\n  \"fleet_simd\": \"" << dsp::lane_isa()
+       << "\",\n  \"hardware_threads\": " << hw
        << ",\n  \"sessions\": " << sessions << ",\n  \"recording_s\": " << duration_s
        << ",\n  \"chunk\": " << kChunk
        << ",\n  \"scalar_samples_per_sec\": " << scalar.sps()

@@ -119,7 +119,7 @@ void BM_StreamingSosTick(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0) *
                           static_cast<std::int64_t>(B::kLanes));
   state.SetLabel(B::kLanes > 1 ? std::string("batch W=") + std::to_string(B::kLanes) +
-                                     " [" + dsp::lane_isa() + "]"
+                                     " [" + dsp::compiled_lane_isa() + "]"
                                : "scalar");
 }
 BENCHMARK_TEMPLATE(BM_StreamingSosTick, dsp::DoubleBackend)->Arg(7500);

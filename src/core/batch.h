@@ -25,10 +25,16 @@
 // format: pack() consumes W scalar checkpoint blobs (cross-validated
 // for configuration agreement), unpack() produces W blobs any scalar
 // engine restores — which is how the fleet dissolves a batch back to
-// per-session engines when lanes diverge (finish, migration, chunk
-// shape mismatch). The lane adaptors below rewrite the scalar wire
-// format per lane, so the blob layout is exactly
+// per-session engines when lanes diverge (migration, recording, chunk
+// shape mismatch, a stall). The fleet builds its batches fresh: a fresh
+// batch is exactly W fresh engines. The lane adaptors below rewrite the
+// scalar wire format per lane, so the blob layout is exactly
 // StreamingBeatPipeline's version-1 format, golden fixtures included.
+//
+// Everything lane-typed here sits in ICGKIT_LANES_BEGIN/END: batch.cpp
+// is compiled once per ISA level and make_session_batch() picks the
+// widest the CPU runs (see dsp/simd.h). SessionBatchBase and the
+// factories are the ISA-independent boundary.
 #pragma once
 
 #include "core/checkpoint.h"
@@ -50,6 +56,61 @@
 #include <vector>
 
 namespace icgkit::core {
+
+/// Runtime-width interface over SessionBatch<4> / SessionBatch<8> of
+/// every ISA build, so the fleet can select the lane count from
+/// FleetConfig::batch_width, and the ISA from the CPU, without being
+/// templated itself. All `out` parameters point at W vectors (one per
+/// lane), appended to, never cleared.
+class SessionBatchBase {
+ public:
+  virtual ~SessionBatchBase() = default;
+
+  [[nodiscard]] virtual std::size_t width() const = 0;
+
+  /// Loads W scalar session checkpoints (StreamingBeatPipeline blobs,
+  /// one per lane) into the batched engine. The sessions must share the
+  /// batch's configuration and be at the same stream position — any
+  /// disagreement throws CheckpointError and leaves the batch unusable.
+  virtual void pack(const std::vector<std::vector<std::uint8_t>>& blobs) = 0;
+
+  /// Serializes the batch back into W scalar checkpoints, each
+  /// restorable by a same-configuration StreamingBeatPipeline (blob l =
+  /// lane l). `blobs` is resized to W; element capacity is reused.
+  virtual void unpack(std::vector<std::vector<std::uint8_t>>& blobs) const = 0;
+
+  /// Advances all lanes by `len` samples in lockstep. ecg_mv/z_ohm point
+  /// at W per-lane arrays of `len` samples; lane l's completed beats are
+  /// appended to out[l].
+  virtual void push(const double* const* ecg_mv, const double* const* z_ohm,
+                    std::size_t len, std::vector<BeatRecord>* out) = 0;
+
+  /// End-of-stream flush for all lanes in lockstep.
+  virtual void finish(std::vector<BeatRecord>* out) = 0;
+
+  /// Pre-sizes every push and finish arena for chunks of up to
+  /// `max_chunk` samples per lane (see
+  /// StreamingBeatPipeline::reserve_chunk).
+  virtual void reserve_chunk(std::size_t max_chunk) = 0;
+
+  [[nodiscard]] virtual const QualitySummary& lane_quality(std::size_t lane) const = 0;
+  [[nodiscard]] virtual bool lane_in_dropout(std::size_t lane) const = 0;
+  /// Samples consumed per lane (identical across lanes, by lockstep).
+  [[nodiscard]] virtual std::size_t samples_consumed() const = 0;
+
+  /// Opt-in front-vs-tail wall-time instrumentation for push(): when
+  /// enabled, each push accumulates the lockstep-front phase (SoA input
+  /// packing + fused filter/feature chains) into front_ns() and the
+  /// per-lane scalar replay (gap machine, decision tails, assemblers)
+  /// into tail_ns(). Off by default — the clock reads would perturb the
+  /// gated throughput numbers, so benches measure speedups with it off
+  /// and take the breakdown from a separate instrumented pass.
+  virtual void enable_profiling(bool) {}
+  [[nodiscard]] virtual std::uint64_t front_ns() const { return 0; }
+  [[nodiscard]] virtual std::uint64_t tail_ns() const { return 0; }
+};
+
+ICGKIT_LANES_BEGIN
 
 /// StateWriter fan-out for batched kernels: uniform fields (counters,
 /// flags, configuration) broadcast to all W per-lane writers; LaneVec
@@ -153,53 +214,6 @@ class LaneStateReader {
   StateReader* lanes_;
 };
 
-/// Runtime-width interface over SessionBatch<4> / SessionBatch<8>, so
-/// the fleet can select the lane count from FleetConfig::batch_width
-/// without being templated itself. All `out` parameters point at W
-/// vectors (one per lane), appended to, never cleared.
-class SessionBatchBase {
- public:
-  virtual ~SessionBatchBase() = default;
-
-  [[nodiscard]] virtual std::size_t width() const = 0;
-
-  /// Loads W scalar session checkpoints (StreamingBeatPipeline blobs,
-  /// one per lane) into the batched engine. The sessions must share the
-  /// batch's configuration and be at the same stream position — any
-  /// disagreement throws CheckpointError and leaves the batch unusable.
-  virtual void pack(const std::vector<std::vector<std::uint8_t>>& blobs) = 0;
-
-  /// Serializes the batch back into W scalar checkpoints, each
-  /// restorable by a same-configuration StreamingBeatPipeline (blob l =
-  /// lane l). `blobs` is resized to W; element capacity is reused.
-  virtual void unpack(std::vector<std::vector<std::uint8_t>>& blobs) const = 0;
-
-  /// Advances all lanes by `len` samples in lockstep. ecg_mv/z_ohm point
-  /// at W per-lane arrays of `len` samples; lane l's completed beats are
-  /// appended to out[l].
-  virtual void push(const double* const* ecg_mv, const double* const* z_ohm,
-                    std::size_t len, std::vector<BeatRecord>* out) = 0;
-
-  /// End-of-stream flush for all lanes in lockstep.
-  virtual void finish(std::vector<BeatRecord>* out) = 0;
-
-  [[nodiscard]] virtual const QualitySummary& lane_quality(std::size_t lane) const = 0;
-  [[nodiscard]] virtual bool lane_in_dropout(std::size_t lane) const = 0;
-  /// Samples consumed per lane (identical across lanes, by lockstep).
-  [[nodiscard]] virtual std::size_t samples_consumed() const = 0;
-
-  /// Opt-in front-vs-tail wall-time instrumentation for push(): when
-  /// enabled, each push accumulates the lockstep-front phase (SoA input
-  /// packing + fused filter/feature chains) into front_ns() and the
-  /// per-lane scalar replay (gap machine, decision tails, assemblers)
-  /// into tail_ns(). Off by default — the clock reads would perturb the
-  /// gated throughput numbers, so benches measure speedups with it off
-  /// and take the breakdown from a separate instrumented pass.
-  virtual void enable_profiling(bool) {}
-  [[nodiscard]] virtual std::uint64_t front_ns() const { return 0; }
-  [[nodiscard]] virtual std::uint64_t tail_ns() const { return 0; }
-};
-
 /// W lockstep sessions through one BatchBackend<W> stage front; see the
 /// header comment for the architecture and the identity contract.
 template <std::size_t W>
@@ -207,6 +221,10 @@ class SessionBatch final : public SessionBatchBase {
  public:
   using backend_t = dsp::BatchBackend<W>;
   using sample_t = typename backend_t::sample_t;
+  /// Push block length, the scalar engine's (see push()).
+  static constexpr std::size_t kPushBlock = StreamingBeatPipeline::kPushBlock;
+  /// Push always packs the W input streams into e_arena_/z_arena_.
+  static constexpr bool kInputArenas = true;
 
   explicit SessionBatch(dsp::SampleRate fs, const PipelineConfig& cfg = {},
                         double window_s = 12.0)
@@ -230,10 +248,11 @@ class SessionBatch final : public SessionBatchBase {
 
   [[nodiscard]] std::size_t width() const override { return W; }
 
-  /// Two-phase lockstep advance. Phase 1 packs the W input streams into
-  /// SoA lane vectors and runs the fused fronts (ICG conditioner, ECG
-  /// cleaner, QRS feature chain) over the whole chunk — the only part
-  /// whose work is W-wide SIMD. Phase 2 replays the chunk lane-major
+  /// Two-phase lockstep advance, in blocks of at most kPushBlock
+  /// samples like the scalar engine. Phase 1 packs the W input streams
+  /// into SoA lane vectors and runs the fused fronts (ICG conditioner,
+  /// ECG cleaner, QRS feature chain) over the whole block — the only
+  /// part whose work is W-wide SIMD. Phase 2 replays the block lane-major
   /// through the scalar tails: each lane's pending beats queue up during
   /// the front tick and drain here, per raw sample, in exactly the
   /// scalar engine's ingest order. Lanes share no tail state, so
@@ -241,61 +260,12 @@ class SessionBatch final : public SessionBatchBase {
   /// sample-major interleaving (and to W scalar sessions).
   void push(const double* const* ecg_mv, const double* const* z_ohm, std::size_t len,
             std::vector<BeatRecord>* out) override {
-    if (len == 0) return;
-    const bool prof = profile_;
-    std::chrono::steady_clock::time_point t0, t1;
-    if (prof) t0 = std::chrono::steady_clock::now();
+    for (std::size_t off = 0; off < len; off += kPushBlock)
+      push_block(ecg_mv, z_ohm, off, std::min(len - off, std::size_t{kPushBlock}), out);
+  }
 
-    e_arena_.clear();
-    z_arena_.clear();
-    for (std::size_t i = 0; i < len; ++i) {
-      sample_t e{}, z{};
-      for (std::size_t l = 0; l < W; ++l) {
-        e.set_lane(l, ecg_mv[l][i]);
-        z.set_lane(l, z_ohm[l][i]);
-      }
-      e_arena_.push_back(e);
-      z_arena_.push_back(z);
-    }
-    icg_scratch_.clear();
-    icg_cum_.clear();
-    icg_stage_.process_chunk(z_arena_, icg_scratch_, icg_cum_);
-    ecg_scratch_.clear();
-    ecg_cum_.clear();
-    ecg_stage_.process_chunk(e_arena_, ecg_scratch_, ecg_cum_);
-    feat_out_.clear();
-    feat_cum_.clear();
-    qrs_.front_chunk(ecg_scratch_, feat_out_, feat_cum_);
-
-    if (prof) t1 = std::chrono::steady_clock::now();
-
-    for (std::size_t l = 0; l < W; ++l) {
-      auto& a = assemblers_[l];
-      auto& tail = qrs_.decision_tail(l);
-      auto& rs = r_scratch_[l];
-      std::uint32_t icg_lo = 0, ecg_lo = 0;
-      for (std::size_t i = 0; i < len; ++i) {
-        a.on_raw_sample(ecg_mv[l][i], z_ohm[l][i], z_arena_[i].lane(l),
-                        [this, l] { qrs_.soft_reset_lane(l); });
-        for (std::uint32_t k = icg_lo; k < icg_cum_[i]; ++k)
-          a.on_icg_sample(icg_scratch_[k].lane(l));
-        icg_lo = icg_cum_[i];
-        a.maybe_drain_ensemble();
-
-        rs.clear();
-        ecg::replay_decision_tail(tail, ecg_scratch_, ecg_lo, ecg_cum_[i], feat_out_,
-                                  feat_cum_, rs, lane_of(l));
-        ecg_lo = ecg_cum_[i];
-        for (const std::size_t r : rs) a.on_r_peak(r);
-        a.drain_ready(out[l]);
-      }
-    }
-
-    if (prof) {
-      const auto t2 = std::chrono::steady_clock::now();
-      front_ns_ += std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count();
-      tail_ns_ += std::chrono::duration_cast<std::chrono::nanoseconds>(t2 - t1).count();
-    }
+  void reserve_chunk(std::size_t max_chunk) override {
+    detail::reserve_push_arenas(*this, max_chunk);
   }
 
   void enable_profiling(bool on) override { profile_ = on; }
@@ -437,7 +407,69 @@ class SessionBatch final : public SessionBatchBase {
   }
 
  private:
+  /// push() for one block: samples [off, off + len) of every lane.
+  void push_block(const double* const* ecg_mv, const double* const* z_ohm, std::size_t off,
+                  std::size_t len, std::vector<BeatRecord>* out) {
+    const bool prof = profile_;
+    std::chrono::steady_clock::time_point t0, t1;
+    if (prof) t0 = std::chrono::steady_clock::now();
+
+    e_arena_.clear();
+    z_arena_.clear();
+    for (std::size_t i = 0; i < len; ++i) {
+      sample_t e{}, z{};
+      for (std::size_t l = 0; l < W; ++l) {
+        e.set_lane(l, ecg_mv[l][off + i]);
+        z.set_lane(l, z_ohm[l][off + i]);
+      }
+      e_arena_.push_back(e);
+      z_arena_.push_back(z);
+    }
+    icg_scratch_.clear();
+    icg_cum_.clear();
+    icg_stage_.process_chunk(z_arena_, icg_scratch_, icg_cum_);
+    ecg_scratch_.clear();
+    ecg_cum_.clear();
+    ecg_stage_.process_chunk(e_arena_, ecg_scratch_, ecg_cum_);
+    feat_out_.clear();
+    feat_cum_.clear();
+    qrs_.front_chunk(ecg_scratch_, feat_out_, feat_cum_);
+
+    if (prof) t1 = std::chrono::steady_clock::now();
+
+    for (std::size_t l = 0; l < W; ++l) {
+      auto& a = assemblers_[l];
+      auto& tail = qrs_.decision_tail(l);
+      auto& rs = r_scratch_[l];
+      std::uint32_t icg_lo = 0, ecg_lo = 0;
+      for (std::size_t i = 0; i < len; ++i) {
+        a.on_raw_sample(ecg_mv[l][off + i], z_ohm[l][off + i], z_arena_[i].lane(l),
+                        [this, l] { qrs_.soft_reset_lane(l); });
+        for (std::uint32_t k = icg_lo; k < icg_cum_[i]; ++k)
+          a.on_icg_sample(icg_scratch_[k].lane(l));
+        icg_lo = icg_cum_[i];
+        a.maybe_drain_ensemble();
+
+        rs.clear();
+        ecg::replay_decision_tail(tail, ecg_scratch_, ecg_lo, ecg_cum_[i], feat_out_,
+                                  feat_cum_, rs, lane_of(l));
+        ecg_lo = ecg_cum_[i];
+        for (const std::size_t r : rs) a.on_r_peak(r);
+        a.drain_ready(out[l]);
+      }
+    }
+
+    if (prof) {
+      const auto t2 = std::chrono::steady_clock::now();
+      front_ns_ += std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count();
+      tail_ns_ += std::chrono::duration_cast<std::chrono::nanoseconds>(t2 - t1).count();
+    }
+  }
+
   /// Projection of a lane vector onto lane l, for the decision-tail replay.
+  template <typename E>
+  friend void detail::reserve_push_arenas(E&, std::size_t);
+
   static auto lane_of(std::size_t l) {
     return [l](const sample_t& v) { return v.lane(l); };
   }
@@ -464,18 +496,31 @@ class SessionBatch final : public SessionBatchBase {
   std::uint64_t front_ns_ = 0, tail_ns_ = 0;
 };
 
-// Compiled once in batch.cpp (same pattern as the scalar engine).
+// Compiled in batch.cpp: once with the build's flags and once per
+// wider ISA object (see the header comment of dsp/simd.h).
 extern template class SessionBatch<4>;
 extern template class SessionBatch<8>;
+
+ICGKIT_LANES_END
 
 /// Supported lane counts for make_session_batch / FleetConfig::batch_width.
 [[nodiscard]] bool session_batch_width_supported(std::size_t width);
 
-/// Runtime-width factory: width must be 4 or 8 (throws
-/// std::invalid_argument otherwise).
+/// Runtime-width, runtime-ISA factory: a SessionBatch<width> compiled
+/// for dsp::lane_target(), the widest lane build this host's CPU runs.
+/// Width must be 4 or 8 (throws std::invalid_argument otherwise).
 std::unique_ptr<SessionBatchBase> make_session_batch(std::size_t width,
                                                      dsp::SampleRate fs,
                                                      const PipelineConfig& cfg = {},
                                                      double window_s = 12.0);
+
+/// make_session_batch() for one given lane target, so tests and benches
+/// can hold every build the host runs to the same bytes. Throws
+/// std::invalid_argument when `target` is wider than dsp::lane_target().
+std::unique_ptr<SessionBatchBase> make_session_batch_on(dsp::LaneTarget target,
+                                                        std::size_t width,
+                                                        dsp::SampleRate fs,
+                                                        const PipelineConfig& cfg = {},
+                                                        double window_s = 12.0);
 
 } // namespace icgkit::core

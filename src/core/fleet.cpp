@@ -39,12 +39,15 @@ class Backoff {
 // ---------------------------------------------------------------------------
 
 SessionManager::Session::Session(std::uint32_t id_, std::uint32_t worker_,
-                                 dsp::SampleRate fs, const FleetConfig& cfg)
-    : id(id_),
-      engine(fs, cfg.pipeline, cfg.window_s),
-      slab(cfg.chunk_slots_per_session * cfg.max_chunk * 2),
-      worker(worker_) {
-  beat_scratch.reserve(64);
+                                 const FleetConfig& cfg)
+    : id(id_), slab(cfg.chunk_slots_per_session * cfg.max_chunk * 2), worker(worker_) {}
+
+void SessionManager::attach_engine(Session& s, const std::vector<std::uint8_t>* state) const {
+  s.engine = std::make_unique<StreamingBeatPipeline>(fs_, cfg_.pipeline, cfg_.window_s);
+  if (state != nullptr) s.engine->restore(*state);
+  // After the restore, so stages already warm keep no warm-up buffer.
+  s.engine->reserve_chunk(cfg_.max_chunk);
+  s.beat_scratch.reserve(64);
 }
 
 SessionManager::Worker::Worker(const FleetConfig& cfg)
@@ -60,10 +63,12 @@ SessionManager::SessionManager(dsp::SampleRate fs, const FleetConfig& cfg)
     throw std::invalid_argument("SessionManager: chunk_slots_per_session must be >= 1");
   if (cfg.batch_width > 1 && !session_batch_width_supported(cfg.batch_width))
     throw std::invalid_argument("SessionManager: batch_width must be 0, 1, 4 or 8");
-  // 0 = auto: pick the width this build's ISA runs without register
-  // spills (see dsp::default_batch_width). Resolved once, here, so
-  // every later decision (group formation, stats) sees a concrete width.
+  // 0 = auto (see dsp::default_batch_width). Resolved once, here, so
+  // every later decision (group formation, stats) sees a concrete width;
+  // the lane ISA is picked here too (make_session_batch dispatches on
+  // dsp::lane_target(), which checks the CPU once).
   if (cfg_.batch_width == 0) cfg_.batch_width = dsp::default_batch_width();
+  if (cfg_.batch_width > 1) (void)dsp::lane_target();
   workers_.reserve(cfg.workers);
   for (std::size_t i = 0; i < cfg.workers; ++i)
     workers_.push_back(std::make_unique<Worker>(cfg));
@@ -85,7 +90,11 @@ SessionHandle SessionManager::open_on(std::uint32_t worker) {
   if (worker >= workers_.size())
     throw std::out_of_range("SessionManager: unknown worker");
   const auto id = static_cast<std::uint32_t>(sessions_.size());
-  sessions_.push_back(std::make_unique<Session>(id, worker, fs_, cfg_));
+  auto s = std::make_unique<Session>(id, worker, cfg_);
+  // Before start() the engine waits for group formation: a session that
+  // joins a lockstep group never gets one.
+  if (started_) attach_engine(*s);
+  sessions_.push_back(std::move(s));
   return SessionHandle(this, id);
 }
 
@@ -105,6 +114,8 @@ const SessionManager::Session& SessionManager::checked_session(
 void SessionManager::start() {
   if (started_) throw std::logic_error("SessionManager: start() called twice");
   if (cfg_.batch_width > 1) form_batch_groups();
+  for (auto& s : sessions_)
+    if (s->group == nullptr) attach_engine(*s);
   started_ = true;
   active_workers_.store(workers_.size(), std::memory_order_release);
   for (auto& w : workers_)
@@ -118,11 +129,10 @@ void SessionManager::form_batch_groups() {
   // Group batch_width same-worker sessions (in id order) into lockstep
   // SIMD batches. Every session shares this manager's configuration, and
   // none has been *processed* yet (workers aren't running — pre-start
-  // submits are still queued), so the lanes are trivially in lockstep at
-  // position 0 and pack() always succeeds. The pack goes through the
-  // real checkpoint format on purpose: it is the same path a future
-  // repack of live sessions would use, and it keeps the batch engine's
-  // state provably equal to the scalar engines it absorbed.
+  // submits are still queued), so each lane starts at stream position 0:
+  // a fresh batch is exactly W fresh engines (the batch identity
+  // contract, pinned by the SessionBatch tests), built directly with no
+  // scalar engine and no checkpoint round trip.
   const std::size_t width = cfg_.batch_width;
   std::vector<Session*> cohort;
   for (std::size_t wi = 0; wi < workers_.size(); ++wi) {
@@ -134,20 +144,15 @@ void SessionManager::form_batch_groups() {
       g->lanes.assign(cohort.begin() + static_cast<std::ptrdiff_t>(base),
                       cohort.begin() + static_cast<std::ptrdiff_t>(base + width));
       g->batch = make_session_batch(width, fs_, cfg_.pipeline, cfg_.window_s);
+      g->batch->reserve_chunk(cfg_.max_chunk);
       g->slots = cfg_.chunk_slots_per_session;
-      g->max_chunk = cfg_.max_chunk;
-      g->stash.resize(width * g->slots * g->max_chunk * 2);
-      g->stash_len.assign(width * g->slots, 0);
+      g->held.resize(width * g->slots);
       g->head.assign(width, 0);
       g->count.assign(width, 0);
       g->lane_beats.resize(width);
-      g->lane_blobs.resize(width);
+      for (auto& beats : g->lane_beats) beats.reserve(64);
       g->ecg_ptrs.resize(width);
       g->z_ptrs.resize(width);
-      for (std::size_t l = 0; l < width; ++l)
-        g->lanes[l]->engine.checkpoint_into(g->lane_blobs[l]);
-      g->batch->pack(g->lane_blobs);
-      g->packed = true;
       for (std::size_t l = 0; l < width; ++l) {
         g->lanes[l]->group = g.get();
         g->lanes[l]->lane = static_cast<std::uint32_t>(l);
@@ -178,7 +183,8 @@ bool SessionManager::enqueue_item(Session& s, dsp::SignalView ecg_mv, dsp::Signa
     std::memcpy(base, ecg_mv.data(), ecg_mv.size() * sizeof(dsp::Sample));
     std::memcpy(base + cfg_.max_chunk, z_ohm.data(), z_ohm.size() * sizeof(dsp::Sample));
   }
-  if (!w.in.try_push(item)) return false;  // work queue full; slot copy is moot
+  if (!push_item(w, item)) return false;  // work queue full; slot copy is moot
+  ++enqueued_;
   ++s.submitted;
   if (op == SessionOp::Finish) s.finished = true;
   return true;
@@ -427,6 +433,12 @@ std::size_t SessionManager::drain_queues(std::vector<FleetBeat>& out,
   return moved;
 }
 
+bool SessionManager::push_item(Worker& w, const WorkItem& item) {
+  if (!w.in.try_push(item)) return false;
+  ++w.pushed;
+  return true;
+}
+
 std::size_t SessionManager::poll(std::vector<FleetBeat>& out, std::size_t max_items) {
   std::size_t moved = 0;
   while (moved < max_items && overflow_pos_ < overflow_.size()) {
@@ -437,7 +449,34 @@ std::size_t SessionManager::poll(std::vector<FleetBeat>& out, std::size_t max_it
     overflow_.clear();
     overflow_pos_ = 0;
   }
-  return moved + drain_queues(out, max_items - moved);
+  moved += drain_queues(out, max_items - moved);
+  watch_for_stall(moved);
+  return moved;
+}
+
+void SessionManager::watch_for_stall(std::size_t moved) {
+  // A lockstep group holds a lane's chunks and finish until every lane
+  // has one, so a pilot that waits on one lane without feeding the
+  // others would wait forever. Detect it without guessing: an empty
+  // poll that finds every worker idle marks the enqueue count; if the
+  // next empty poll finds nothing enqueued since, the pilot saw the
+  // settled state and had nothing to add, so the workers dissolve the
+  // groups still holding work. A pilot that feeds every lane with room
+  // before polling twice (a round-robin feeder) never triggers this.
+  if (groups_.empty() || !started_ || closed_ || moved > 0) {
+    idle_mark_ = kNoMark;
+    return;
+  }
+  if (idle_mark_ == enqueued_) {
+    if (flushed_at_ == enqueued_) return;  // already asked; nothing new since
+    for (auto& w : workers_)
+      if (!w->groups.empty()) (void)push_item(*w, WorkItem{nullptr, 0, SessionOp::Flush});
+    flushed_at_ = enqueued_;
+    return;
+  }
+  for (const auto& w : workers_)
+    if (w->handled.load(std::memory_order_acquire) != w->pushed) return;
+  idle_mark_ = enqueued_;
 }
 
 void SessionManager::close() {
@@ -445,11 +484,11 @@ void SessionManager::close() {
   if (closed_) return;
   closed_ = true;
   for (auto& w : workers_) {
-    WorkItem stop{};
+    const WorkItem stop{nullptr, 0, SessionOp::Shutdown};
     // A worker parked on a full result queue never pops its work queue;
     // drain on its behalf so the sentinel always lands.
     Backoff backoff;
-    while (!w->in.try_push(stop)) {
+    while (!push_item(*w, stop)) {
       if (drain_queues(overflow_, static_cast<std::size_t>(-1)) == 0) backoff.pause();
       else backoff.reset();
     }
@@ -483,6 +522,7 @@ const std::vector<FleetWorkerStats>& SessionManager::worker_stats() const {
     s.chunks = w->chunks.load(std::memory_order_relaxed);
     s.samples = w->samples.load(std::memory_order_relaxed);
     s.beats = w->beats.load(std::memory_order_relaxed);
+    s.group_dissolves = w->dissolves.load(std::memory_order_relaxed);
     s.push_latency_us = w->push_latency_us;
     stats_cache_.push_back(std::move(s));
   }
@@ -490,24 +530,17 @@ const std::vector<FleetWorkerStats>& SessionManager::worker_stats() const {
 }
 
 const QualitySummary& SessionManager::do_session_quality(std::uint32_t session) const {
-  if (session >= sessions_.size())
-    throw std::out_of_range("SessionManager: unknown session id");
-  const Session& s = *sessions_[session];
-  // While a session rides in a packed group its scalar engine is stale;
-  // the live aggregate lives in the batch engine's per-lane assembler.
-  if (s.group != nullptr && s.group->packed)
-    return s.group->batch->lane_quality(s.lane);
-  return s.engine.quality_summary();
+  static const QualitySummary not_started{};
+  const Session& s = checked_session(session);
+  // A grouped session's aggregate lives in the batch engine's per-lane
+  // assembler (the group clears `group` when it dissolves).
+  if (s.group != nullptr) return s.group->batch->lane_quality(s.lane);
+  return s.engine ? s.engine->quality_summary() : not_started;
 }
 
 QualitySummary SessionManager::fleet_quality() const {
   QualitySummary total;
-  for (const auto& s : sessions_) {
-    if (s->group != nullptr && s->group->packed)
-      total.merge(s->group->batch->lane_quality(s->lane));
-    else
-      total.merge(s->engine.quality_summary());
-  }
+  for (const auto& s : sessions_) total.merge(do_session_quality(s->id));
   return total;
 }
 
@@ -544,117 +577,131 @@ void SessionManager::worker_loop(Worker& w) {
     }
     idle_backoff.reset();
     if (item.session == nullptr) {
-      // Pool shutdown: any chunks still stashed in lockstep groups must
-      // reach their engines before the thread exits, or idle()/beat
-      // totals would lie. Dissolve unpacks to scalar and flushes.
-      for (BatchGroup* g : w.groups) dissolve_group(*g, w);
-      return;
+      // Flush: the pilot is waiting on work a group still holds (see
+      // watch_for_stall). Shutdown: held work must reach the engines
+      // before the thread exits, or idle()/beat totals would lie. Either
+      // way, dissolving runs the held items through scalar engines.
+      for (BatchGroup* g : w.groups) {
+        bool holds = false;
+        for (const std::uint32_t c : g->count) holds = holds || c > 0;
+        if (holds) dissolve_group(*g, w);
+      }
+      w.handled.fetch_add(1, std::memory_order_release);
+      if (item.op == SessionOp::Shutdown) return;
+      continue;
     }
 
     Session& s = *item.session;
-    if (s.group != nullptr && s.group->packed) {
-      // Lockstep fast path: buffer the chunk and advance the whole
-      // group when every lane has work. Any op the batch engine cannot
-      // service in lockstep (finish, checkpoint, restore, stash
-      // overflow) dissolves the group back to scalar sessions first.
-      if (item.op == SessionOp::Chunk && s.group->count[s.lane] < s.group->slots) {
-        stash_chunk(*s.group, s, item, w);
+    if (s.group != nullptr) {
+      BatchGroup& g = *s.group;
+      // Lockstep fast path: hold the chunk (or finish) and advance the
+      // whole group once every lane has one. Any op the batch engine
+      // cannot service in lockstep (checkpoint, restore, recording)
+      // dissolves the group back to scalar sessions first.
+      if (item.op == SessionOp::Chunk || item.op == SessionOp::Finish) {
+        g.held[s.lane * g.slots + (g.head[s.lane] + g.count[s.lane]) % g.slots] = item;
+        ++g.count[s.lane];
+        advance_group(g, w);
+        w.handled.fetch_add(1, std::memory_order_release);
         continue;
       }
-      dissolve_group(*s.group, w);
+      dissolve_group(g, w);
     }
-    s.beat_scratch.clear();
-    switch (item.op) {
-      case SessionOp::Finish:
-        s.engine.finish_into(s.beat_scratch);
-        if (s.recorder) {
-          // A recorded session that runs to completion finalizes its own
-          // file: tail beats + terminal summary, then the recorder goes
-          // away (the pilot releases the sink when the manager dies).
-          s.recorder->on_finish(s.engine, s.beat_scratch);
-          s.recorder.reset();
-        }
-        break;
-      case SessionOp::CheckpointOut:
-        // Serialize after everything submitted ahead of this item; the
-        // release store publishes the blob (and the engine memory) to
-        // the pilot, which relays the handoff to the target worker
-        // through its work queue.
-        s.engine.checkpoint_into(s.migration_blob);
-        s.completed.fetch_add(1, std::memory_order_release);
-        s.checkpoint_ready.store(true, std::memory_order_release);
-        w.chunks.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      case SessionOp::RestoreIn:
-        // The blob is load-bearing: restore() overwrites every carried
-        // field from it, so the round-trip tests (not shared memory)
-        // are what guarantee the resumed stream's byte identity.
-        s.engine.restore(s.migration_blob);
-        s.completed.fetch_add(1, std::memory_order_release);
-        w.chunks.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      case SessionOp::RecordStart:
-        // Writes the file header and the initial checkpoint at this
-        // exact cut (serialized behind every prior chunk). The ack is
-        // released only after those bytes reached the sink.
-        s.recorder = std::make_unique<FlightRecorder>(*s.recorder_sink, s.engine,
-                                                      s.recorder_cfg);
-        s.completed.fetch_add(1, std::memory_order_release);
-        s.record_ack.store(true, std::memory_order_release);
-        w.chunks.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      case SessionOp::RecordStop:
-        if (s.recorder) {
-          s.recorder->on_stop(s.engine);
-          s.recorder.reset();
-        }
-        s.completed.fetch_add(1, std::memory_order_release);
-        s.record_ack.store(true, std::memory_order_release);
-        w.chunks.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      case SessionOp::Chunk: {
-        const std::size_t slot =
-            s.completed.load(std::memory_order_relaxed) % cfg_.chunk_slots_per_session;
-        const dsp::Sample* base = s.slab.data() + slot * cfg_.max_chunk * 2;
-        const bool log = w.push_latency_us.size() < w.push_latency_us.capacity();
-        const auto t0 = log ? std::chrono::steady_clock::now()
-                            : std::chrono::steady_clock::time_point{};
-        s.engine.push_into(dsp::SignalView(base, item.len),
-                           dsp::SignalView(base + cfg_.max_chunk, item.len),
-                           s.beat_scratch);
-        if (log) {
-          const auto t1 = std::chrono::steady_clock::now();
-          w.push_latency_us.push_back(
-              std::chrono::duration<double, std::micro>(t1 - t0).count());
-        }
-        if (s.recorder)
-          s.recorder->on_chunk(s.engine, dsp::SignalView(base, item.len),
-                               dsp::SignalView(base + cfg_.max_chunk, item.len),
-                               s.beat_scratch);
-        w.samples.fetch_add(item.len, std::memory_order_relaxed);
-        s.chunks_done.fetch_add(1, std::memory_order_release);
-        break;
-      }
-    }
-    // Release the chunk slot before publishing results: the slot's data
-    // is fully consumed, and a parked result push must not block reuse.
-    s.completed.fetch_add(1, std::memory_order_release);
-    w.chunks.fetch_add(1, std::memory_order_relaxed);
-    emit_beats(s, w, s.beat_scratch);
-    if (item.op == SessionOp::Finish) {
-      // Terminal record: the session's quality aggregate, emitted exactly
-      // once, after the tail beats (not counted in the beat totals).
-      FleetBeat fb{s.id, {}, /*end_of_session=*/true, s.engine.quality_summary()};
-      Backoff park;
-      while (!w.out.try_push(fb)) park.pause();
-    }
+    run_item(s, item, w);
+    w.handled.fetch_add(1, std::memory_order_release);
   }
+}
+
+void SessionManager::run_item(Session& s, const WorkItem& item, Worker& w) {
+  StreamingBeatPipeline& engine = *s.engine;
+  s.beat_scratch.clear();
+  switch (item.op) {
+    case SessionOp::Finish:
+      engine.finish_into(s.beat_scratch);
+      if (s.recorder) {
+        // A recorded session that runs to completion finalizes its own
+        // file: tail beats + terminal summary, then the recorder goes
+        // away (the pilot releases the sink when the manager dies).
+        s.recorder->on_finish(engine, s.beat_scratch);
+        s.recorder.reset();
+      }
+      break;
+    case SessionOp::CheckpointOut:
+      // Serialize after everything submitted ahead of this item; the
+      // release store publishes the blob (and the engine memory) to
+      // the pilot, which relays the handoff to the target worker
+      // through its work queue.
+      engine.checkpoint_into(s.migration_blob);
+      s.completed.fetch_add(1, std::memory_order_release);
+      s.checkpoint_ready.store(true, std::memory_order_release);
+      w.chunks.fetch_add(1, std::memory_order_relaxed);
+      return;
+    case SessionOp::RestoreIn:
+      // The blob is load-bearing: restore() overwrites every carried
+      // field from it, so the round-trip tests (not shared memory)
+      // are what guarantee the resumed stream's byte identity.
+      engine.restore(s.migration_blob);
+      s.completed.fetch_add(1, std::memory_order_release);
+      w.chunks.fetch_add(1, std::memory_order_relaxed);
+      return;
+    case SessionOp::RecordStart:
+      // Writes the file header and the initial checkpoint at this
+      // exact cut (serialized behind every prior chunk). The ack is
+      // released only after those bytes reached the sink.
+      s.recorder = std::make_unique<FlightRecorder>(*s.recorder_sink, engine, s.recorder_cfg);
+      s.completed.fetch_add(1, std::memory_order_release);
+      s.record_ack.store(true, std::memory_order_release);
+      w.chunks.fetch_add(1, std::memory_order_relaxed);
+      return;
+    case SessionOp::RecordStop:
+      if (s.recorder) {
+        s.recorder->on_stop(engine);
+        s.recorder.reset();
+      }
+      s.completed.fetch_add(1, std::memory_order_release);
+      s.record_ack.store(true, std::memory_order_release);
+      w.chunks.fetch_add(1, std::memory_order_relaxed);
+      return;
+    case SessionOp::Chunk: {
+      const std::size_t slot =
+          s.completed.load(std::memory_order_relaxed) % cfg_.chunk_slots_per_session;
+      const dsp::Sample* base = s.slab.data() + slot * cfg_.max_chunk * 2;
+      const bool log = w.push_latency_us.size() < w.push_latency_us.capacity();
+      const auto t0 = log ? std::chrono::steady_clock::now()
+                          : std::chrono::steady_clock::time_point{};
+      engine.push_into(dsp::SignalView(base, item.len),
+                       dsp::SignalView(base + cfg_.max_chunk, item.len), s.beat_scratch);
+      if (log) {
+        const auto t1 = std::chrono::steady_clock::now();
+        w.push_latency_us.push_back(
+            std::chrono::duration<double, std::micro>(t1 - t0).count());
+      }
+      if (s.recorder)
+        s.recorder->on_chunk(engine, dsp::SignalView(base, item.len),
+                             dsp::SignalView(base + cfg_.max_chunk, item.len),
+                             s.beat_scratch);
+      w.samples.fetch_add(item.len, std::memory_order_relaxed);
+      s.chunks_done.fetch_add(1, std::memory_order_release);
+      break;
+    }
+    case SessionOp::Flush:
+    case SessionOp::Shutdown:
+      return;  // handled by worker_loop; never carry a session
+  }
+  // Release the chunk slot before publishing results: the slot's data
+  // is fully consumed, and a parked result push must not block reuse.
+  s.completed.fetch_add(1, std::memory_order_release);
+  w.chunks.fetch_add(1, std::memory_order_relaxed);
+  emit_beats(s, w, s.beat_scratch);
+  // Terminal record: the session's quality aggregate, emitted exactly
+  // once, after the tail beats (not counted in the beat totals).
+  if (item.op == SessionOp::Finish) emit_summary(s, w, engine.quality_summary());
 }
 
 // ---------------------------------------------------------------------------
 // Lockstep batch plumbing (worker-thread side). A BatchGroup is owned by
-// exactly one worker while packed, so none of this needs extra locking:
-// the work queue already serializes every touch.
+// exactly one worker, so none of this needs extra locking: the work
+// queue already serializes every touch.
 // ---------------------------------------------------------------------------
 
 void SessionManager::emit_beats(Session& s, Worker& w,
@@ -667,93 +714,92 @@ void SessionManager::emit_beats(Session& s, Worker& w,
   }
 }
 
-void SessionManager::stash_chunk(BatchGroup& g, Session& s, const WorkItem& item,
-                                 Worker& w) {
-  // Copy the chunk out of the session's slab into the group's stash and
-  // release the slab slot immediately — the pilot's submit window must
-  // not stall on other lanes catching up. `completed` therefore means
-  // "accepted by the worker", not "pushed through a pipeline"; the
-  // samples reach the engine in process_batch_ready() or at dissolve.
-  const std::size_t slab_slot =
-      s.completed.load(std::memory_order_relaxed) % cfg_.chunk_slots_per_session;
-  const dsp::Sample* base = s.slab.data() + slab_slot * cfg_.max_chunk * 2;
-  const std::size_t stash_slot = (g.head[s.lane] + g.count[s.lane]) % g.slots;
-  dsp::Sample* dst = g.stash.data() + (s.lane * g.slots + stash_slot) * g.max_chunk * 2;
-  std::memcpy(dst, base, item.len * sizeof(dsp::Sample));
-  std::memcpy(dst + g.max_chunk, base + cfg_.max_chunk, item.len * sizeof(dsp::Sample));
-  g.stash_len[s.lane * g.slots + stash_slot] = item.len;
-  ++g.count[s.lane];
-  s.completed.fetch_add(1, std::memory_order_release);
-  s.chunks_done.fetch_add(1, std::memory_order_release);
-  w.chunks.fetch_add(1, std::memory_order_relaxed);
-  w.samples.fetch_add(item.len, std::memory_order_relaxed);
-  process_batch_ready(g, w);
+void SessionManager::emit_summary(Session& s, Worker& w, const QualitySummary& q) {
+  FleetBeat fb{s.id, {}, /*end_of_session=*/true, q};
+  Backoff park;
+  while (!w.out.try_push(fb)) park.pause();
 }
 
-void SessionManager::process_batch_ready(BatchGroup& g, Worker& w) {
+void SessionManager::advance_group(BatchGroup& g, Worker& w) {
   const std::size_t width = g.lanes.size();
-  while (g.packed) {
+  while (g.state == BatchGroup::State::Packed) {
     for (std::size_t l = 0; l < width; ++l)
-      if (g.count[l] == 0) return;  // some lane still owes a chunk
-    const std::uint32_t len = g.stash_len[0 * g.slots + g.head[0]];
-    for (std::size_t l = 1; l < width; ++l) {
-      if (g.stash_len[l * g.slots + g.head[l]] != len) {
-        // Lanes fed with different chunk sizes can't tick in lockstep;
-        // fall back to scalar rather than guess a split.
-        dissolve_group(g, w);
-        return;
+      if (g.count[l] == 0) return;  // some lane still owes an item
+    const WorkItem& first = g.held[g.head[0]];
+    bool chunks = true, finishes = true;
+    for (std::size_t l = 0; l < width; ++l) {
+      const WorkItem& h = g.held[l * g.slots + g.head[l]];
+      chunks = chunks && h.op == SessionOp::Chunk && h.len == first.len;
+      finishes = finishes && h.op == SessionOp::Finish;
+    }
+    if (!chunks && !finishes) {
+      // Lanes fed different chunk lengths, or one lane finishing while
+      // another still streams, can't tick in lockstep; fall back to
+      // scalar rather than guess a split.
+      dissolve_group(g, w);
+      return;
+    }
+    for (std::size_t l = 0; l < width; ++l) g.lane_beats[l].clear();
+    if (finishes) {
+      g.batch->finish(g.lane_beats.data());
+      g.state = BatchGroup::State::Finished;
+    } else {
+      // Each lane's chunk is still in its session's slab, in the slot
+      // of its first uncompleted item.
+      for (std::size_t l = 0; l < width; ++l) {
+        const Session& ls = *g.lanes[l];
+        const std::size_t slot =
+            ls.completed.load(std::memory_order_relaxed) % cfg_.chunk_slots_per_session;
+        g.ecg_ptrs[l] = ls.slab.data() + slot * cfg_.max_chunk * 2;
+        g.z_ptrs[l] = g.ecg_ptrs[l] + cfg_.max_chunk;
       }
+      const bool log = w.push_latency_us.size() < w.push_latency_us.capacity();
+      const auto t0 = log ? std::chrono::steady_clock::now()
+                          : std::chrono::steady_clock::time_point{};
+      g.batch->push(g.ecg_ptrs.data(), g.z_ptrs.data(), first.len, g.lane_beats.data());
+      if (log) {
+        const auto t1 = std::chrono::steady_clock::now();
+        w.push_latency_us.push_back(
+            std::chrono::duration<double, std::micro>(t1 - t0).count());
+      }
+      w.samples.fetch_add(first.len * width, std::memory_order_relaxed);
     }
     for (std::size_t l = 0; l < width; ++l) {
-      const dsp::Sample* src =
-          g.stash.data() + (l * g.slots + g.head[l]) * g.max_chunk * 2;
-      g.ecg_ptrs[l] = src;
-      g.z_ptrs[l] = src + g.max_chunk;
-      g.lane_beats[l].clear();
-    }
-    const bool log = w.push_latency_us.size() < w.push_latency_us.capacity();
-    const auto t0 = log ? std::chrono::steady_clock::now()
-                        : std::chrono::steady_clock::time_point{};
-    g.batch->push(g.ecg_ptrs.data(), g.z_ptrs.data(), len, g.lane_beats.data());
-    if (log) {
-      const auto t1 = std::chrono::steady_clock::now();
-      w.push_latency_us.push_back(
-          std::chrono::duration<double, std::micro>(t1 - t0).count());
-    }
-    for (std::size_t l = 0; l < width; ++l) {
-      g.head[l] = (g.head[l] + 1) % g.slots;
+      Session& ls = *g.lanes[l];
+      g.head[l] = static_cast<std::uint32_t>((g.head[l] + 1) % g.slots);
       --g.count[l];
-      emit_beats(*g.lanes[l], w, g.lane_beats[l]);
+      if (!finishes) ls.chunks_done.fetch_add(1, std::memory_order_release);
+      // Release the slot before publishing results, as run_item does.
+      ls.completed.fetch_add(1, std::memory_order_release);
+      w.chunks.fetch_add(1, std::memory_order_relaxed);
+      emit_beats(ls, w, g.lane_beats[l]);
+      if (finishes) emit_summary(ls, w, g.batch->lane_quality(l));
     }
   }
 }
 
 void SessionManager::dissolve_group(BatchGroup& g, Worker& w) {
-  if (!g.packed) return;
-  g.packed = false;
+  if (g.state != BatchGroup::State::Packed) return;
+  g.state = BatchGroup::State::Dissolved;
+  w.dissolves.fetch_add(1, std::memory_order_relaxed);
   // unpack() is the production use of the lane de-interleave: each lane
-  // becomes a v1 checkpoint blob that the scalar engine restores from,
-  // so a dissolved session is bit-for-bit the session a scalar worker
-  // would have produced.
-  g.batch->unpack(g.lane_blobs);
+  // becomes a v1 checkpoint blob that a fresh scalar engine restores
+  // from, so a dissolved session is bit-for-bit the session a scalar
+  // worker would have produced.
+  std::vector<std::vector<std::uint8_t>> blobs;
+  g.batch->unpack(blobs);
   for (std::size_t l = 0; l < g.lanes.size(); ++l) {
     Session& ls = *g.lanes[l];
-    ls.engine.restore(g.lane_blobs[l]);
-    // Flush this lane's stashed chunks through the scalar engine. Their
-    // chunk/sample counters were bumped at stash time; only beats and
-    // latency samples are new here.
-    while (g.count[l] > 0) {
-      const dsp::Sample* src =
-          g.stash.data() + (l * g.slots + g.head[l]) * g.max_chunk * 2;
-      const std::uint32_t len = g.stash_len[l * g.slots + g.head[l]];
-      ls.beat_scratch.clear();
-      ls.engine.push_into(dsp::SignalView(src, len),
-                          dsp::SignalView(src + g.max_chunk, len), ls.beat_scratch);
-      emit_beats(ls, w, ls.beat_scratch);
-      g.head[l] = (g.head[l] + 1) % g.slots;
-      --g.count[l];
-    }
+    attach_engine(ls, &blobs[l]);
     ls.group = nullptr;
+  }
+  g.batch.reset();
+  // Run each lane's held items, in order, through its scalar engine.
+  for (std::size_t l = 0; l < g.lanes.size(); ++l) {
+    for (; g.count[l] > 0; --g.count[l]) {
+      run_item(*g.lanes[l], g.held[l * g.slots + g.head[l]], w);
+      g.head[l] = static_cast<std::uint32_t>((g.head[l] + 1) % g.slots);
+    }
   }
 }
 

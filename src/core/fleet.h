@@ -26,9 +26,12 @@
 //   - Workers never touch the session table, only the Session* carried
 //     by their work items.
 //
-// Memory pooling (zero steady-state allocation on the hot path):
-//   - each session pre-sizes its StreamingBeatPipeline (ring buffers,
-//     delineation scratch) at open time;
+// Memory pooling (zero allocation on the hot path, from the first chunk):
+//   - each scalar session's StreamingBeatPipeline (ring buffers,
+//     delineation scratch, push arenas sized for max_chunk) is built at
+//     open() — at start() for sessions opened before it; a session
+//     grouped into a lockstep batch instead rides a lane of a SessionBatch
+//     sized the same way, and has no scalar engine of its own;
 //   - submitted chunks are copied into a per-session slab of
 //     chunk_slots_per_session fixed slots, recycled in FIFO order — the
 //     producer claims slot (submitted % slots) only when
@@ -88,22 +91,40 @@ struct FleetConfig {
   std::size_t latency_log_capacity = 1 << 16;
   /// Per-session look-back window, as in StreamingBeatPipeline.
   double window_s = 12.0;
-  /// SIMD batch mode (core::SessionBatch): 0 (the default) auto-selects
-  /// the widest lockstep width this build's ISA runs without register
-  /// spills — 4 on plain AVX2, 8 on AVX-512 or NEON, scalar on builds
-  /// whose lane vector lowers to SSE2 or scalar code (see
-  /// dsp::default_batch_width; the chosen value is readable via
-  /// SessionManager::resolved_batch_width). 1 forces every session onto
+  /// SIMD batch mode (core::SessionBatch): 0 (the default) resolves to
+  /// dsp::default_batch_width() — 8 wherever the lane vector is native —
+  /// and the batch engine runs the widest ISA build the host CPU
+  /// supports (dsp::lane_target(), chosen at run time; see
+  /// core::make_session_batch). The resolved width is readable via
+  /// SessionManager::resolved_batch_width. 1 forces every session onto
   /// its own scalar engine; 4 or 8 makes start() group that many
-  /// same-worker sessions into lockstep SIMD batches. Per-session output
-  /// is byte-identical either way (the batch identity contract); batching
-  /// only changes throughput. A worker advances a batch when every lane
-  /// has a pending chunk of the same length, stashing early arrivals (one
-  /// slab's worth per lane); a group whose lanes diverge — a finish or
-  /// migration on one lane, mismatched chunk lengths, a stash overflow —
-  /// is dissolved back to scalar engines via the checkpoint format and
-  /// stays scalar. Sessions left over after grouping (count % width, or
-  /// added after start()) run scalar as before.
+  /// same-worker sessions opened before start() into lockstep SIMD
+  /// batches, built fresh (a grouped session has no scalar engine of its
+  /// own). Per-session output is byte-identical either way (the batch
+  /// identity contract); batching only changes throughput.
+  ///
+  /// A worker holds each lane's chunks in the session's own slab slots
+  /// and advances the batch when every lane has a chunk of the same
+  /// length; when every lane's next item is its finish, the batch
+  /// finishes in lockstep. A group whose lanes diverge — a migration,
+  /// recording or checkpoint on one lane, mismatched chunk lengths, a
+  /// finish on one lane while another still has chunks — is dissolved:
+  /// each lane gets a scalar engine restored from the batch through the
+  /// checkpoint format and stays scalar. Held work never deadlocks the
+  /// pilot: when the pilot polls twice without enqueuing anything while
+  /// the worker is idle (a blocking push or finish waiting on a lane
+  /// whose slots are all held, or a poll waiting on a lane's beats), the
+  /// worker dissolves its stalled groups. Sessions left over after
+  /// grouping (count % width, or opened after start()) run scalar.
+  ///
+  /// The gain therefore needs sessions opened before start() and fed
+  /// round robin with equal chunk lengths: every lane of a group gets
+  /// its next chunk before the pilot polls twice. A paced feeder that
+  /// pushes one chunk to every session per tick keeps its groups (zero
+  /// dissolves). A feeder whose sessions' chunks arrive at different
+  /// times, polling in between, dissolves each group on its first gap
+  /// and then runs scalar, at the cost of one group build and one
+  /// dissolve per group (see docs/ARCHITECTURE.md, fleet integration).
   std::size_t batch_width = 0;
   PipelineConfig pipeline{};
 };
@@ -126,6 +147,10 @@ struct FleetWorkerStats {
   std::uint64_t chunks = 0;
   std::uint64_t samples = 0;
   std::uint64_t beats = 0;
+  /// Lockstep groups this worker dissolved back to scalar engines
+  /// (divergent lanes, stalls, shutdown with held work). A group that
+  /// runs to a lockstep finish counts none.
+  std::uint64_t group_dissolves = 0;
   std::vector<double> push_latency_us;  ///< first latency_log_capacity pushes
 };
 
@@ -216,8 +241,10 @@ class SessionManager {
   /// Per-worker counters; stable after join().
   [[nodiscard]] const std::vector<FleetWorkerStats>& worker_stats() const;
 
-  /// Sum of every session's QualitySummary (same caveat as
-  /// SessionHandle::quality(): meaningful after join() or at idle()).
+  /// Sum of every session's QualitySummary. Same caveat as
+  /// SessionHandle::quality(): call it after join(), at idle(), or once
+  /// every session's end_of_session record has been delivered; earlier
+  /// calls race with the workers.
   [[nodiscard]] QualitySummary fleet_quality() const;
 
   /// Running totals, safe to read from any thread while workers run
@@ -228,7 +255,7 @@ class SessionManager {
  private:
   friend class SessionHandle;
 
-  /// What a work item asks the owning worker to do with the session.
+  /// What a work item asks the owning worker to do.
   enum class SessionOp : std::uint8_t {
     Chunk,          ///< push one slab chunk through the engine
     Finish,         ///< end-of-stream flush + end-of-session record
@@ -236,16 +263,21 @@ class SessionManager {
     RestoreIn,      ///< deserialize the migration blob into the engine
     RecordStart,    ///< open a flight recorder over the installed sink
     RecordStop,     ///< finalize the flight recorder mid-stream
+    Flush,          ///< no session: dissolve groups stalled on held work
+    Shutdown,       ///< no session: pool shutdown sentinel
   };
 
   struct BatchGroup;
 
   struct Session {
-    Session(std::uint32_t id, std::uint32_t worker, dsp::SampleRate fs,
-            const FleetConfig& cfg);
+    Session(std::uint32_t id, std::uint32_t worker, const FleetConfig& cfg);
 
     std::uint32_t id;
-    StreamingBeatPipeline engine;
+    /// The scalar engine. Null while the session rides in a lockstep
+    /// group: built by start() for sessions left out of the groups, by
+    /// open() after start(), and by the owning worker when the session's
+    /// group dissolves.
+    std::unique_ptr<StreamingBeatPipeline> engine;
     std::vector<dsp::Sample> slab;      ///< slots * max_chunk * 2 samples
     std::uint64_t submitted = 0;        ///< pilot side
     std::atomic<std::uint64_t> completed{0};  ///< worker side: all work items
@@ -283,36 +315,36 @@ class SessionManager {
     std::size_t inbox_pos = 0;
     /// Batch mode: the lockstep group this session rides in, or nullptr
     /// when it runs its own scalar engine. Set by start(), cleared by the
-    /// owning worker when the group dissolves (while the session is
-    /// packed, `engine` is stale — the live state is group lane `lane`).
+    /// owning worker when the group dissolves (the live state is group
+    /// lane `lane` until then, and after a lockstep finish).
     BatchGroup* group = nullptr;
     std::uint32_t lane = 0;
   };
 
-  /// One lockstep SIMD batch of batch_width same-worker sessions (batch
-  /// mode only). Owned by the manager, driven exclusively by the owning
-  /// worker after start(). Each lane has a FIFO chunk stash (slab-sized)
-  /// absorbing arrival skew: the batch advances only when every lane
-  /// holds a chunk of the same length.
-  struct BatchGroup {
-    std::vector<Session*> lanes;
-    std::unique_ptr<SessionBatchBase> batch;
-    bool packed = false;    ///< worker side after start(); false = dissolved
-    std::size_t slots = 0;      ///< stash depth per lane (= chunk slots)
-    std::size_t max_chunk = 0;
-    std::vector<dsp::Sample> stash;          ///< lanes * slots * max_chunk * 2
-    std::vector<std::uint32_t> stash_len;    ///< lanes * slots
-    std::vector<std::size_t> head, count;    ///< per-lane FIFO state
-    std::vector<std::vector<BeatRecord>> lane_beats;       ///< reused
-    std::vector<std::vector<std::uint8_t>> lane_blobs;     ///< pack/unpack reuse
-    std::vector<const dsp::Sample*> ecg_ptrs, z_ptrs;      ///< reused
-  };
-
-  /// session == nullptr is the pool-shutdown sentinel.
+  /// Flush and Shutdown items carry no session.
   struct WorkItem {
     Session* session = nullptr;
     std::uint32_t len = 0;
     SessionOp op = SessionOp::Chunk;
+  };
+
+  /// One lockstep SIMD batch of batch_width same-worker sessions (batch
+  /// mode only). Owned by the manager, driven exclusively by the owning
+  /// worker after start(). A lane's Chunk and Finish items are held, in
+  /// order, until every lane has one: a held chunk stays in its
+  /// session's slab slot (the slot is released when the batch consumes
+  /// it), so the pilot's per-session window bounds the skew between
+  /// lanes.
+  struct BatchGroup {
+    enum class State : std::uint8_t { Packed, Finished, Dissolved };
+    std::vector<Session*> lanes;
+    std::unique_ptr<SessionBatchBase> batch;  ///< released at dissolve
+    State state = State::Packed;              ///< worker side after start()
+    std::size_t slots = 0;                    ///< held items per lane (= chunk slots)
+    std::vector<WorkItem> held;               ///< lanes * slots, per-lane FIFOs
+    std::vector<std::uint32_t> head, count;   ///< per-lane FIFO state
+    std::vector<std::vector<BeatRecord>> lane_beats;   ///< reused
+    std::vector<const dsp::Sample*> ecg_ptrs, z_ptrs;  ///< reused
   };
 
   struct Worker {
@@ -320,14 +352,20 @@ class SessionManager {
     SpscQueue<WorkItem> in;
     SpscQueue<FleetBeat> out;
     /// Batch groups homed on this worker (filled by start(), before the
-    /// thread spawns); dissolved on shutdown so stashed chunks flush.
+    /// thread spawns); those still holding work are dissolved by Flush
+    /// items and at shutdown.
     std::vector<BatchGroup*> groups;
+    /// Items pushed to `in` (pilot side) and items fully handled (worker
+    /// side, release): equal when the worker is idle.
+    std::uint64_t pushed = 0;
+    std::atomic<std::uint64_t> handled{0};
     /// Counters are atomic (relaxed) so the pilot can read live totals
     /// while the worker runs; the latency log is worker-only until
     /// join().
     std::atomic<std::uint64_t> chunks{0};
     std::atomic<std::uint64_t> samples{0};
     std::atomic<std::uint64_t> beats{0};
+    std::atomic<std::uint64_t> dissolves{0};
     std::vector<double> push_latency_us;
     std::thread thread;
   };
@@ -356,14 +394,21 @@ class SessionManager {
   const Session& checked_session(std::uint32_t session) const;
   bool enqueue_item(Session& s, dsp::SignalView ecg_mv, dsp::SignalView z_ohm,
                     SessionOp op);
+  bool push_item(Worker& w, const WorkItem& item);
   std::size_t drain_queues(std::vector<FleetBeat>& out, std::size_t max_items);
+  void watch_for_stall(std::size_t moved);
+  /// Gives `s` a scalar engine sized for max_chunk, fresh or restored
+  /// from `state` (pilot before the worker owns `s`, else the owning
+  /// worker; reads only construction-time configuration).
+  void attach_engine(Session& s, const std::vector<std::uint8_t>* state = nullptr) const;
   void worker_loop(Worker& w);
+  void run_item(Session& s, const WorkItem& item, Worker& w);
   // Batch mode (worker side unless noted).
   void form_batch_groups();  ///< pilot, from start()
-  void stash_chunk(BatchGroup& g, Session& s, const WorkItem& item, Worker& w);
-  void process_batch_ready(BatchGroup& g, Worker& w);
+  void advance_group(BatchGroup& g, Worker& w);
   void dissolve_group(BatchGroup& g, Worker& w);
   static void emit_beats(Session& s, Worker& w, const std::vector<BeatRecord>& beats);
+  static void emit_summary(Session& s, Worker& w, const QualitySummary& q);
 
   dsp::SampleRate fs_;
   FleetConfig cfg_;
@@ -377,6 +422,13 @@ class SessionManager {
   std::size_t overflow_pos_ = 0;
   /// Scratch for poll_beat()'s route-to-inbox drain (capacity reused).
   std::vector<FleetBeat> route_scratch_;
+  /// Stall watch (batch mode, pilot side): items enqueued for sessions,
+  /// the enqueue count at the last empty poll that found every worker
+  /// idle, and the count at which Flush items were last sent.
+  static constexpr std::uint64_t kNoMark = ~std::uint64_t{0};
+  std::uint64_t enqueued_ = 0;
+  std::uint64_t idle_mark_ = kNoMark;
+  std::uint64_t flushed_at_ = kNoMark;
   mutable std::vector<FleetWorkerStats> stats_cache_;
   std::uint64_t migrations_ = 0;  ///< pilot side
   bool started_ = false;
@@ -468,10 +520,12 @@ class SessionHandle {
 
   /// The session's running QualitySummary, read from its engine (or its
   /// batch lane). The state lives on the owning worker, so call this
-  /// only when that worker is quiescent: after join() (in batch mode,
-  /// only after join() or after the session finished). The
-  /// authoritative end-of-stream snapshot is the end_of_session
-  /// FleetBeat the finish emits.
+  /// only when nothing can touch it: after join(), at idle(), or once
+  /// this session's end_of_session record has been delivered (by poll
+  /// or poll_beat). An accepted finish() is not enough: in batch mode
+  /// the worker may still hold it, and a later dissolve replaces the
+  /// session's engine and frees its batch. The authoritative
+  /// end-of-stream snapshot is the end_of_session FleetBeat itself.
   [[nodiscard]] const QualitySummary& quality() const {
     return mgr_->do_session_quality(id_);
   }

@@ -128,6 +128,34 @@ inline constexpr std::uint8_t kEcgFlat = 1u << 0;
 inline constexpr std::uint8_t kZFlat = 1u << 1;
 inline constexpr std::uint8_t kEcgSat = 1u << 2;
 inline constexpr std::uint8_t kZSat = 1u << 3;
+
+// Pre-sizes the push and finish arenas of a two-phase engine for chunks
+// of up to `max_chunk` samples. BasicStreamingBeatPipeline and the
+// lockstep SessionBatch share the stage/arena layout (both befriend this
+// function), so one sizing serves both. Pushes run in blocks of at most
+// Engine::kPushBlock samples, so no arena is sized beyond one block plus
+// the end-of-stream flush.
+template <typename Engine>
+void reserve_push_arenas(Engine& e, std::size_t max_chunk) {
+  max_chunk = std::min(max_chunk, std::size_t{Engine::kPushBlock});
+  e.ecg_stage_.reserve(max_chunk);
+  e.icg_stage_.reserve(max_chunk);
+  const std::size_t ecg_out = e.ecg_stage_.max_outputs(max_chunk);
+  e.qrs_.reserve(ecg_out);  // the detector's input is the cleaner's output
+  e.ecg_scratch_.reserve(ecg_out);
+  e.icg_scratch_.reserve(e.icg_stage_.max_outputs(max_chunk));
+  e.icg_cum_.reserve(max_chunk);
+  e.ecg_cum_.reserve(max_chunk);
+  e.feat_cum_.reserve(ecg_out);
+  // The finish path appends the detector's flush behind the features of
+  // the cleaner's flushed tail.
+  e.feat_out_.reserve(
+      std::max(ecg_out, e.ecg_stage_.latency() + e.qrs_.max_finish_outputs()));
+  if constexpr (Engine::kInputArenas) {
+    e.e_arena_.reserve(max_chunk);
+    e.z_arena_.reserve(max_chunk);
+  }
+}
 } // namespace detail
 
 /// The per-session beat-rate tail of the streaming engine: look-back
@@ -709,6 +737,11 @@ class BasicStreamingBeatPipeline {
  public:
   using sample_t = typename B::sample_t;
 
+  /// Longest run of samples one push phase handles; see push_into().
+  static constexpr std::size_t kPushBlock = 64;
+  /// Whether push quantizes its input into e_arena_/z_arena_ first.
+  static constexpr bool kInputArenas = B::kFixed;
+
   BasicStreamingBeatPipeline(dsp::SampleRate fs, const PipelineConfig& cfg = {},
                              double window_s = 12.0,
                              const dsp::Q31ScalingPolicy& scaling = {})
@@ -748,67 +781,17 @@ class BasicStreamingBeatPipeline {
   /// inputs — never on tail state (soft_reset touches only the decision
   /// tail's adaptive state) — so splitting the phases is byte-identical
   /// to interleaving them sample by sample.
+  ///
+  /// A chunk longer than kPushBlock samples runs as consecutive blocks of
+  /// at most kPushBlock: the output is chunk-size invariant, and every
+  /// arena then holds one block, however long the chunks.
   void push_into(dsp::SignalView ecg_mv, dsp::SignalView z_ohm,
                  std::vector<BeatRecord>& out) {
     if (ecg_mv.size() != z_ohm.size())
       ICGKIT_THROW(std::invalid_argument("StreamingBeatPipeline: chunk length mismatch"));
-    const std::size_t n = ecg_mv.size();
-    if (n == 0) return;
-
-    // Phase 1: fused fronts over the whole chunk. Under Q31 the raw
-    // doubles are quantized exactly once per sample into the input
-    // arenas; the double backend feeds the caller's buffers directly.
-    std::span<const sample_t> e, z;
-    if constexpr (B::kFixed) {
-      e_arena_.clear();
-      z_arena_.clear();
-      for (std::size_t i = 0; i < n; ++i) {
-        e_arena_.push_back(ecg_from(ecg_mv[i]));
-        z_arena_.push_back(z_from(z_ohm[i]));
-      }
-      e = e_arena_;
-      z = z_arena_;
-    } else {
-      e = std::span<const sample_t>(ecg_mv.data(), n);
-      z = std::span<const sample_t>(z_ohm.data(), n);
-    }
-    icg_scratch_.clear();
-    icg_cum_.clear();
-    icg_stage_.process_chunk(z, icg_scratch_, icg_cum_);
-    ecg_scratch_.clear();
-    ecg_cum_.clear();
-    ecg_stage_.process_chunk(e, ecg_scratch_, ecg_cum_);
-    feat_out_.clear();
-    feat_cum_.clear();
-    qrs_.front_chunk(ecg_scratch_, feat_out_, feat_cum_);
-
-    // Phase 2: per-raw-sample replay of the scalar tails, consuming each
-    // front's per-input output range [cum[i-1], cum[i]).
-    auto& tail = qrs_.decision_tail();
-    std::uint32_t icg_lo = 0, ecg_lo = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      assembler_.on_raw_sample(ecg_mv[i], z_ohm[i], z[i],
-                               [this] { qrs_.soft_reset(); });
-      for (std::uint32_t k = icg_lo; k < icg_cum_[i]; ++k) {
-        assembler_.on_icg_sample(icg_scratch_[k]);
-        if (capture_) captured_icg_.push_back(icg_real(icg_scratch_[k]));
-      }
-      icg_lo = icg_cum_[i];
-      assembler_.maybe_drain_ensemble();
-
-      const std::uint32_t ecg_hi = ecg_cum_[i];
-      if (capture_)
-        for (std::uint32_t k = ecg_lo; k < ecg_hi; ++k)
-          captured_ecg_.push_back(ecg_real(ecg_scratch_[k]));
-      r_scratch_.clear();
-      ecg::replay_decision_tail(tail, ecg_scratch_, ecg_lo, ecg_hi, feat_out_, feat_cum_,
-                                r_scratch_);
-      ecg_lo = ecg_hi;
-      for (const std::size_t r : r_scratch_) assembler_.on_r_peak(r);
-      // Emit every beat whose aligned ICG is now complete -- done per
-      // sample so the emission point (and thus the ring-buffer state it
-      // reads) is identical however the input was chunked.
-      assembler_.drain_ready(out);
+    for (std::size_t off = 0; off < ecg_mv.size(); off += kPushBlock) {
+      const std::size_t n = std::min(ecg_mv.size() - off, std::size_t{kPushBlock});
+      push_block(ecg_mv.subspan(off, n), z_ohm.subspan(off, n), out);
     }
   }
 
@@ -845,6 +828,13 @@ class BasicStreamingBeatPipeline {
     for (const std::size_t r : r_scratch_) assembler_.on_r_peak(r);
     assembler_.drain_ready(emitted);
   }
+
+  /// Pre-sizes every push and finish arena for chunks of up to
+  /// `max_chunk` samples, so that neither push_into() of such chunks nor
+  /// finish_into() allocates from the first chunk on (the arenas
+  /// otherwise grow on first use). The fleet calls it with
+  /// FleetConfig::max_chunk.
+  void reserve_chunk(std::size_t max_chunk) { detail::reserve_push_arenas(*this, max_chunk); }
 
   [[nodiscard]] std::size_t samples_consumed() const { return assembler_.samples_consumed(); }
   [[nodiscard]] std::size_t r_peak_count() const { return assembler_.r_peak_count(); }
@@ -1018,6 +1008,70 @@ class BasicStreamingBeatPipeline {
   }
 
  private:
+  template <typename E>
+  friend void detail::reserve_push_arenas(E&, std::size_t);
+
+  /// push_into() for one block of at most kPushBlock samples.
+  void push_block(dsp::SignalView ecg_mv, dsp::SignalView z_ohm,
+                  std::vector<BeatRecord>& out) {
+    const std::size_t n = ecg_mv.size();
+    // Phase 1: fused fronts over the whole block. Under Q31 the raw
+    // doubles are quantized exactly once per sample into the input
+    // arenas; the double backend feeds the caller's buffers directly.
+    std::span<const sample_t> e, z;
+    if constexpr (B::kFixed) {
+      e_arena_.clear();
+      z_arena_.clear();
+      for (std::size_t i = 0; i < n; ++i) {
+        e_arena_.push_back(ecg_from(ecg_mv[i]));
+        z_arena_.push_back(z_from(z_ohm[i]));
+      }
+      e = e_arena_;
+      z = z_arena_;
+    } else {
+      e = std::span<const sample_t>(ecg_mv.data(), n);
+      z = std::span<const sample_t>(z_ohm.data(), n);
+    }
+    icg_scratch_.clear();
+    icg_cum_.clear();
+    icg_stage_.process_chunk(z, icg_scratch_, icg_cum_);
+    ecg_scratch_.clear();
+    ecg_cum_.clear();
+    ecg_stage_.process_chunk(e, ecg_scratch_, ecg_cum_);
+    feat_out_.clear();
+    feat_cum_.clear();
+    qrs_.front_chunk(ecg_scratch_, feat_out_, feat_cum_);
+
+    // Phase 2: per-raw-sample replay of the scalar tails, consuming each
+    // front's per-input output range [cum[i-1], cum[i]).
+    auto& tail = qrs_.decision_tail();
+    std::uint32_t icg_lo = 0, ecg_lo = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      assembler_.on_raw_sample(ecg_mv[i], z_ohm[i], z[i],
+                               [this] { qrs_.soft_reset(); });
+      for (std::uint32_t k = icg_lo; k < icg_cum_[i]; ++k) {
+        assembler_.on_icg_sample(icg_scratch_[k]);
+        if (capture_) captured_icg_.push_back(icg_real(icg_scratch_[k]));
+      }
+      icg_lo = icg_cum_[i];
+      assembler_.maybe_drain_ensemble();
+
+      const std::uint32_t ecg_hi = ecg_cum_[i];
+      if (capture_)
+        for (std::uint32_t k = ecg_lo; k < ecg_hi; ++k)
+          captured_ecg_.push_back(ecg_real(ecg_scratch_[k]));
+      r_scratch_.clear();
+      ecg::replay_decision_tail(tail, ecg_scratch_, ecg_lo, ecg_hi, feat_out_, feat_cum_,
+                                r_scratch_);
+      ecg_lo = ecg_hi;
+      for (const std::size_t r : r_scratch_) assembler_.on_r_peak(r);
+      // Emit every beat whose aligned ICG is now complete -- done per
+      // sample so the emission point (and thus the ring-buffer state it
+      // reads) is identical however the input was chunked.
+      assembler_.drain_ready(out);
+    }
+  }
+
   // Boundary conversions. The double backend's scales are fixed at 1 and
   // the conversions collapse to identity, so the reference engine's
   // arithmetic is untouched by the backend abstraction.

@@ -27,6 +27,7 @@
 #include "dsp/zero_phase_highpass.h"
 #include "ecg/ecg_filter.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -112,6 +113,25 @@ class BasicEcgCleanerStage {
   void reset() {
     if (morph_.has_value()) morph_->reset();
     if (fir_.has_value()) fir_->reset();
+  }
+
+  /// Most samples one process_chunk() of `n` inputs, or finish(), appends
+  /// to `out`: each sub-stage emits at most one sample per input, and
+  /// finish() flushes the whole latency.
+  [[nodiscard]] std::size_t max_outputs(std::size_t n) const {
+    return std::max(n, latency());
+  }
+
+  /// Pre-sizes the internal arenas so that neither process_chunk() of up
+  /// to `max_chunk` samples nor finish() allocates.
+  void reserve(std::size_t max_chunk) {
+    if (morph_.has_value()) morph_->reserve();
+    if (fir_.has_value()) fir_->reserve();
+    if (!morph_.has_value() || !fir_.has_value()) return;
+    const std::size_t morph_out = std::max(max_chunk, morph_->delay());
+    morph_arena_.reserve(morph_out);
+    morph_cum_.reserve(max_chunk);
+    fir_cum_.reserve(morph_out);
   }
 
   /// Serializes the enabled sub-stages for core::Checkpoint round trips;
@@ -236,6 +256,27 @@ class BasicIcgConditionerStage {
     if (hp_.has_value()) hp_->reset();
     prev_[0] = prev_[1] = sample_t{};
     z_count_ = 0;
+  }
+
+  /// Most samples one process_chunk() of `n` inputs, or finish(), appends
+  /// to `out`. The high-pass emits in bursts of up to 1.5 decimation
+  /// blocks; finish() flushes the whole latency.
+  [[nodiscard]] std::size_t max_outputs(std::size_t n) const {
+    const std::size_t burst = hp_.has_value() ? 2 * hp_->decimation() : 0;
+    return std::max(n + burst, latency() + 1);
+  }
+
+  /// Pre-sizes the internal arenas so that neither process_chunk() of up
+  /// to `max_chunk` samples nor finish() allocates.
+  void reserve(std::size_t max_chunk) {
+    const std::size_t lp_out = std::max(max_chunk, lp_.delay() + 1);
+    lp_.reserve();
+    if (hp_.has_value()) hp_->reserve();
+    d_arena_.reserve(max_chunk);
+    d_cum_.reserve(max_chunk);
+    lp_arena_.reserve(lp_out);
+    lp_cum_.reserve(max_chunk);
+    hp_cum_.reserve(lp_out);
   }
 
   /// Serializes the low-pass/high-pass kernels and the derivative

@@ -236,6 +236,7 @@ struct Q31Backend {
   }
 };
 
+ICGKIT_LANES_BEGIN
 /// SIMD batch backend: W double lanes advancing in lockstep, one lane
 /// per co-scheduled session. Samples and accumulators are LaneVec<W>
 /// (structure-of-arrays); coefficients stay scalar double, so a batched
@@ -317,6 +318,7 @@ struct BatchBackend {
   }
   static sample_t apply_gain(sample_t v, double gain) { return v * gain; }
 };
+ICGKIT_LANES_END
 
 /// True for backends whose sample_t carries multiple lockstep lanes.
 template <typename B>

@@ -107,6 +107,12 @@ class BasicStreamingZeroPhaseFir {
     tail_.assign(half_ + 1, sample_t{});
   }
 
+  /// Pre-sizes the warm-up buffer of a stage that is not warm yet, so
+  /// the first samples do not grow it.
+  void reserve() {
+    if (!warm_) warmup_.reserve(half_ + 1);
+  }
+
   /// Feeds a chunk; appends newly aligned outputs to `out` and one
   /// entry per input sample to `cum`: the absolute size of `out` once
   /// that sample has been consumed (input i's outputs are
@@ -284,7 +290,9 @@ class BasicStreamingZeroPhaseFir {
   std::size_t head_ = 0;      ///< next write slot in line_
   std::size_t fed_ = 0;       ///< extended-stream samples consumed
   std::size_t raw_count_ = 0; ///< raw input samples consumed
-  std::vector<sample_t> warmup_; ///< first half_+1 raw samples (prefix synthesis)
+  /// First half_+1 raw samples (prefix synthesis); released once the
+  /// stage is warm.
+  std::vector<sample_t> warmup_;
   std::vector<sample_t> tail_;   ///< last half_+1 raw samples (suffix synthesis)
   bool warm_ = false;         ///< prefix emitted, steady state reached
 };

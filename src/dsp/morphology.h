@@ -153,6 +153,7 @@ class BasicStreamingExtremum {
 
 using StreamingExtremum = BasicStreamingExtremum<DoubleBackend>;
 
+ICGKIT_LANES_BEGIN
 /// Lockstep extremum for the SIMD batch backend. Order statistics are
 /// the one front-chain kernel whose control flow is data-dependent (the
 /// monotonic deque pops on comparisons), so the lanes cannot share a
@@ -276,6 +277,7 @@ class BatchStreamingExtremum {
   std::size_t pushed_ = 0;               ///< lane-uniform input counter
   std::size_t emitted_ = 0;              ///< lane-uniform output counter
 };
+ICGKIT_LANES_END
 
 /// Width derivation shared by the batch estimator and the streaming
 /// remover: w1 = odd(qrs_window_s * fs), w2 = odd(factor * w1).
@@ -309,6 +311,14 @@ class BasicStreamingBaselineRemover {
         raw_delay_(delay_ + 1) {
     if (fs <= 0.0)
       ICGKIT_THROW(std::invalid_argument("StreamingBaselineRemover: fs must be positive"));
+  }
+
+  /// Pre-sizes the stage buffers so that neither push() nor finish()
+  /// allocates: push() moves at most one sample per stage, finish()
+  /// flushes the whole delay.
+  void reserve() {
+    scratch1_.reserve(delay_ + 1);
+    scratch2_.reserve(delay_ + 1);
   }
 
   /// Feeds one raw sample; appends newly completed cleaned samples.

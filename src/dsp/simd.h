@@ -13,9 +13,28 @@
 // every operator here is elementwise IEEE double arithmetic with no
 // reordering, no FMA contraction beyond what the scalar build does (the
 // project compiles with -ffp-contract=off), and no horizontal ops.
+//
+// Per-ISA builds. The batch engine (core/batch.cpp) is compiled once
+// with the build's own flags and, on x86-64, once more per wider ISA
+// (x86-64-v3, x86-64-v4); core::make_session_batch picks one at run
+// time. Each extra compilation defines ICGKIT_LANES_NS, which wraps
+// every lane-typed entity -- LaneVec, BatchBackend, the batch kernels,
+// SessionBatch -- in an inline namespace of that name, so two ISAs'
+// instantiations never share a mangled name (a LaneVec<8> passed by
+// value has a different calling convention under each ISA). The build
+// then makes every other symbol of those objects local; see
+// CMakeLists.txt and ci/check_isa_symbols.py.
 #pragma once
 
 #include <cstddef>
+
+#if defined(ICGKIT_LANES_NS)
+#define ICGKIT_LANES_BEGIN inline namespace ICGKIT_LANES_NS {
+#define ICGKIT_LANES_END }
+#else
+#define ICGKIT_LANES_BEGIN
+#define ICGKIT_LANES_END
+#endif
 
 namespace icgkit::dsp {
 
@@ -24,6 +43,8 @@ namespace icgkit::dsp {
 #else
 #define ICGKIT_LANEVEC_NATIVE 0
 #endif
+
+ICGKIT_LANES_BEGIN
 
 #if ICGKIT_LANEVEC_NATIVE
 namespace detail {
@@ -99,9 +120,9 @@ struct NativeLanes<64> {
 /// *independent* ymm halves (detail::PairLanes64) — the split keeps the
 /// register allocator free to schedule eight 32-byte values instead of
 /// four paired 64-byte ones, so the 4-section SOS cascade's state stays
-/// in registers and W=8 beats W=4 on both ISAs. W=4 remains the fallback
-/// for register files that cannot hold the doubled state (SSE2-only
-/// builds, where every lane vector is already emulated).
+/// in registers and W=8 beats W=4 on both ISAs. On baseline SSE2 every
+/// W=8 value is four xmm pairs; the batched front still beats scalar
+/// there (see default_batch_width).
 template <std::size_t W>
 struct LaneVec {
   static_assert(W >= 2 && W <= 8 && (W & (W - 1)) == 0,
@@ -174,9 +195,12 @@ struct LaneVec {
 #endif
 };
 
-/// Compile-time name of the widest ISA the lane vector lowers to in this
-/// build -- reported by benches so gate floors can be ISA-aware.
-constexpr const char* lane_isa() {
+ICGKIT_LANES_END
+
+/// Compile-time name of the widest ISA the lane vector lowers to in the
+/// translation unit that evaluates it (the build's own flags outside the
+/// per-ISA batch objects).
+constexpr const char* compiled_lane_isa() {
 #if defined(__AVX512F__)
   return "avx512";
 #elif defined(__AVX2__)
@@ -194,27 +218,34 @@ constexpr const char* lane_isa() {
 #endif
 }
 
-/// Default lockstep batch width for this build's ISA — what
-/// FleetConfig::batch_width = 0 resolves to.
-///
-/// Width guidance: a W-lane batch keeps W doubles of every kernel state
-/// variable live at once, so the right width is the widest the register
-/// file carries without spilling. On AVX-512 and NEON that is trivially
-/// W=8 (one zmm / the 32-register file). On plain AVX2, W=8 used to
-/// spill — a monolithic 64-byte vector needs paired ymm registers — but
-/// the two-half lowering (detail::PairLanes64) splits each value into
-/// two independently-allocatable ymm halves, so W=8 now amortizes the
-/// per-sample batch bookkeeping over twice the lanes and beats W=4
-/// there too. Builds whose lane vector lowers to scalar or SSE2 code
-/// (e.g. generic x86-64 without -march) gain nothing from lockstep
-/// batching, so the default keeps them scalar rather than paying the
-/// batch-group bookkeeping.
-constexpr std::size_t default_batch_width() {
-#if defined(__AVX512F__) || defined(__ARM_NEON) || defined(__AVX2__)
-  return 8;
-#else
-  return 1;
-#endif
-}
+/// The batch engine builds the dispatcher chooses between.
+enum class LaneTarget {
+  Build,     ///< the build's own flags (compiled_lane_isa())
+  X86_64_V3, ///< -march=x86-64-v3: AVX2, W=8 as two ymm halves (PairLanes64)
+  X86_64_V4, ///< -march=x86-64-v4: AVX-512, W=8 in one zmm
+};
+
+/// The widest batch build this host's CPU runs, decided once by
+/// __builtin_cpu_supports on first call. Always LaneTarget::Build when
+/// the library was built without the per-ISA objects (non-x86-64
+/// targets, older compilers).
+LaneTarget lane_target();
+
+/// Name of the ISA the dispatched batch engine runs on this host:
+/// "avx512" or "avx2" when lane_target() picked a per-ISA build,
+/// compiled_lane_isa() otherwise. Reported by benches so gate floors
+/// can be ISA-aware.
+const char* lane_isa();
+
+/// Default lockstep batch width -- what FleetConfig::batch_width = 0
+/// resolves to. W=8 wherever the lane vector is a native vector type:
+/// one zmm on AVX-512, two independently allocated ymm halves on plain
+/// AVX2 (detail::PairLanes64), SSE2 pairs on a baseline x86-64 build,
+/// NEON pairs on aarch64. The batched front wins on every one of them
+/// (perfbench fleet_bulk, 4-vCPU AVX-512 host, default flags: scalar
+/// 2.3-3.2 M samples/s; W=8 on SSE2 lanes 3.6 M; W=8 on the dispatched
+/// AVX-512 lanes 5.8-6.9 M). Only the plain-array fallback of non-GNU
+/// compilers stays scalar.
+constexpr std::size_t default_batch_width() { return ICGKIT_LANEVEC_NATIVE ? 8 : 1; }
 
 } // namespace icgkit::dsp

@@ -66,6 +66,15 @@ class BasicStreamingZeroPhaseHighpass {
         base_(zero_phase_highpass_kernel(fs, m_, cfg)),
         raw_((base_.delay() + 4) * m_ + m_ + 2) {}
 
+  /// Pre-sizes the internal buffers so that neither process_chunk() nor
+  /// finish() allocates: one baseline sample per block while streaming,
+  /// the kernel's whole delay at finish().
+  void reserve() {
+    base_.reserve();
+    u_scratch_.reserve(base_.delay() + 1);
+    u_cum_.reserve(1);
+  }
+
   /// Feeds a chunk; appends newly aligned high-passed outputs to `out`
   /// and one entry per input sample to `cum`: the absolute size of `out`
   /// once that sample has been consumed. Typed span: cross-backend

@@ -94,6 +94,15 @@ class QrsDecisionTail {
         mwi_ring_(history_capacity(fs, learn_end_, mwi_win_)),
         in_ring_(history_capacity(fs, learn_end_, mwi_win_)) {}
 
+  /// Pre-sizes the candidate lists. Candidates are at least min_sep_
+  /// apart, so a learning window's worth bounds prelearn_ and, in
+  /// practice, the rejections between two beats.
+  void reserve() {
+    prelearn_.reserve(learn_end_ / min_sep_ + 1);
+    rejected_since_.reserve(learn_end_ / min_sep_ + 1);
+    rr_history_.reserve(9);
+  }
+
   /// Records one raw input sample (the refinement look-back timeline).
   /// Called once per detector input, before the feature chain runs.
   void note_input(sample_t x) {
@@ -521,6 +530,19 @@ class QrsFeatureFront {
     d_emitted_ = 0;
   }
 
+  /// Most feature samples finish() appends: the band-pass delay plus the
+  /// two trailing derivative samples. process_chunk() appends at most one
+  /// per input.
+  [[nodiscard]] std::size_t max_finish_outputs() const { return bp_.delay() + 2; }
+
+  /// Pre-sizes the band-pass arenas so that neither process_chunk() of up
+  /// to `max_chunk` samples nor finish() allocates.
+  void reserve(std::size_t max_chunk) {
+    bp_.reserve();
+    bp_arena_.reserve(std::max(max_chunk, bp_.delay()));
+    bp_cum_.reserve(max_chunk);
+  }
+
   /// Serializes the band-pass, the derivative history and the MWI — the
   /// front segment of the detector's checkpoint layout.
   template <typename W>
@@ -635,6 +657,16 @@ class BasicOnlinePanTompkins {
   /// The decision half, for callers driving the front via front_chunk().
   [[nodiscard]] QrsDecisionTail<B>& decision_tail() { return tail_; }
 
+  /// Pre-sizes the front's arenas (see QrsFeatureFront::reserve) and the
+  /// tail's candidate lists.
+  void reserve(std::size_t max_chunk) {
+    front_.reserve(max_chunk);
+    tail_.reserve();
+  }
+  [[nodiscard]] std::size_t max_finish_outputs() const {
+    return front_.max_finish_outputs();
+  }
+
   /// End of stream (after the last chunk's replay): flushes the front
   /// into `feat` (appended; any arena), runs the tail over the flushed
   /// features, then settles learning and the pending candidate.
@@ -681,6 +713,7 @@ class BasicOnlinePanTompkins {
 
 using OnlinePanTompkins = BasicOnlinePanTompkins<dsp::DoubleBackend>;
 
+ICGKIT_LANES_BEGIN
 /// Lockstep W-session Pan-Tompkins: the QrsFeatureFront runs once on the
 /// SIMD batch backend, then the integrated feature stream fans out into
 /// W scalar QrsDecisionTail<DoubleBackend> instances -- the exact code
@@ -724,6 +757,16 @@ class BatchOnlinePanTompkins {
     return tails_[lane];
   }
 
+  /// Pre-sizes the front's arenas (see QrsFeatureFront::reserve) and
+  /// every lane tail's candidate lists.
+  void reserve(std::size_t max_chunk) {
+    front_.reserve(max_chunk);
+    for (auto& tail : tails_) tail.reserve();
+  }
+  [[nodiscard]] std::size_t max_finish_outputs() const {
+    return front_.max_finish_outputs();
+  }
+
   /// End of stream for all lanes in lockstep: flushes the front into
   /// `feat` (appended), runs each lane's tail over the flushed features
   /// and settles it, appending lane l's peaks to out[l]. `out` must
@@ -761,6 +804,7 @@ class BatchOnlinePanTompkins {
   QrsFeatureFront<backend_t> front_;
   std::vector<QrsDecisionTail<dsp::DoubleBackend>> tails_; ///< one per lane
 };
+ICGKIT_LANES_END
 
 class PanTompkins {
  public:

@@ -280,6 +280,77 @@ TEST(SessionBatchTest, PackRejectsMisalignedLanes) {
   EXPECT_THROW(batch.pack(blobs), CheckpointError);
 }
 
+// Every lane build the host runs — the build's own, and the x86-64-v3
+// and -v4 objects the dispatcher picks from — must hold the identity
+// contract: fresh W=8 lanes (the way the fleet builds its groups)
+// byte-identical to scalar engines at every chunking, with per-lane
+// dropout gaps diverging, through the lockstep finish.
+TEST(SessionBatchTest, EveryLaneTargetMatchesScalar) {
+  constexpr std::size_t W = 8;
+  std::vector<synth::Recording> recs;
+  std::vector<std::vector<BeatRecord>> expected;
+  std::vector<QualitySummary> expected_quality;
+  for (std::size_t l = 0; l < W; ++l) {
+    synth::Recording rec = make_recording(l, 20.0);
+    if (l % 2 == 1) apply_scenario(rec, synth::ScenarioSpec::severe(), /*seed=*/301 + l);
+    StreamingBeatPipeline engine(kFs);
+    std::vector<BeatRecord> beats = engine.push(rec.ecg_mv, rec.z_ohm);
+    engine.finish_into(beats);
+    ASSERT_GT(beats.size(), 5u) << "lane " << l;
+    expected.push_back(std::move(beats));
+    expected_quality.push_back(engine.quality_summary());
+    recs.push_back(std::move(rec));
+  }
+  bool any_dropout = false;
+  for (const QualitySummary& q : expected_quality)
+    any_dropout = any_dropout || q.ecg_dropouts + q.z_dropouts > 0;
+  EXPECT_TRUE(any_dropout) << "no lane opened a dropout gap";
+
+  const std::size_t n = recs[0].ecg_mv.size();
+  std::size_t targets_run = 0;
+  for (const dsp::LaneTarget target :
+       {dsp::LaneTarget::Build, dsp::LaneTarget::X86_64_V3, dsp::LaneTarget::X86_64_V4}) {
+    if (target > dsp::lane_target()) {
+      EXPECT_THROW((void)make_session_batch_on(target, W, kFs), std::invalid_argument);
+      continue;
+    }
+    ++targets_run;
+    for (const std::size_t chunk : std::initializer_list<std::size_t>{1, 7, 64, 256}) {
+      const auto tag = [&] {
+        return ::testing::Message() << "target " << static_cast<int>(target) << " chunk "
+                                    << chunk;
+      };
+      const auto batch = make_session_batch_on(target, W, kFs);
+      std::array<std::vector<BeatRecord>, W> got;
+      std::array<const double*, W> ecg{}, z{};
+      for (std::size_t i = 0; i < n; i += chunk) {
+        const std::size_t len = std::min(chunk, n - i);
+        for (std::size_t l = 0; l < W; ++l) {
+          ecg[l] = recs[l].ecg_mv.data() + i;
+          z[l] = recs[l].z_ohm.data() + i;
+        }
+        batch->push(ecg.data(), z.data(), len, got.data());
+      }
+      batch->finish(got.data());
+      for (std::size_t l = 0; l < W; ++l) {
+        ASSERT_EQ(got[l].size(), expected[l].size()) << tag() << " lane " << l;
+        for (std::size_t i = 0; i < got[l].size(); ++i)
+          expect_identical_beat(got[l][i], expected[l][i], l, i);
+        expect_identical_summary(batch->lane_quality(l), expected_quality[l], l);
+      }
+    }
+    // Errors thrown inside a per-ISA object still reach the caller's
+    // handlers by type: a lane ahead of the others must be refused.
+    std::vector<std::vector<std::uint8_t>> blobs = fresh_lane_blobs(W);
+    StreamingBeatPipeline ahead(kFs);
+    (void)ahead.push(dsp::SignalView(recs[3].ecg_mv.data(), 300),
+                     dsp::SignalView(recs[3].z_ohm.data(), 300));
+    blobs[3] = ahead.checkpoint();
+    EXPECT_THROW(make_session_batch_on(target, W, kFs)->pack(blobs), CheckpointError);
+  }
+  EXPECT_GE(targets_run, 1u);
+}
+
 TEST(SessionBatchTest, FactoryValidatesWidth) {
   EXPECT_TRUE(session_batch_width_supported(4));
   EXPECT_TRUE(session_batch_width_supported(8));

@@ -1,11 +1,14 @@
-// Verifies the fleet memory-pool invariant: once a session's buffers
-// have warmed up, pushing chunks does ZERO heap allocation — in the bare
-// pipeline and through the whole fleet path (slab copy, SPSC handoff,
-// result drain).
+// Verifies the fleet memory-pool invariant: pushing chunks does ZERO
+// heap allocation — in the bare pipeline once warm, and through the
+// whole fleet path (slab copy, SPSC handoff, lockstep batch, result
+// drain) from the first chunk of a freshly opened session to its
+// terminal record.
 //
 // This binary replaces the global operator new/delete with counting
 // versions that bump core::allocation_counter() (the library-side test
-// hook); AllocationProbe reads the delta around the measured region.
+// hook); AllocationProbe reads the delta around the measured region. The
+// allocator also tracks the live heap in bytes, for the memory
+// comparison between scalar and lockstep sessions.
 #include "core/alloc_probe.h"
 #include "core/batch.h"
 #include "core/fleet.h"
@@ -14,6 +17,9 @@
 
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
+#include <algorithm>
 #include <array>
 #include <cstdlib>
 #include <new>
@@ -26,17 +32,36 @@
 
 namespace {
 
-void* counted_alloc(std::size_t n) {
+// The helpers stay out of line: once g++ inlines a replacement operator
+// delete into a new-expression's caller, it sees std::free() applied to
+// an operator-new pointer and reports -Wmismatched-new-delete, although
+// every operator here pairs malloc with free.
+std::atomic<std::int64_t> g_live_bytes{0};
+
+[[gnu::noinline]] void* counted_alloc(std::size_t n) {
   icgkit::core::allocation_counter().fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n ? n : 1);
+  void* p = std::malloc(n ? n : 1);
+  if (p != nullptr)
+    g_live_bytes.fetch_add(static_cast<std::int64_t>(malloc_usable_size(p)),
+                           std::memory_order_relaxed);
+  return p;
 }
 
-void* counted_aligned_alloc(std::size_t n, std::size_t align) {
+[[gnu::noinline]] void* counted_aligned_alloc(std::size_t n, std::size_t align) {
   icgkit::core::allocation_counter().fetch_add(1, std::memory_order_relaxed);
   void* p = nullptr;
   if (posix_memalign(&p, align < sizeof(void*) ? sizeof(void*) : align, n ? n : align) != 0)
     return nullptr;
+  g_live_bytes.fetch_add(static_cast<std::int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
   return p;
+}
+
+[[gnu::noinline]] void counted_free(void* p) noexcept {
+  if (p != nullptr)
+    g_live_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
+                           std::memory_order_relaxed);
+  std::free(p);
 }
 
 } // namespace
@@ -54,14 +79,14 @@ void* operator new(std::size_t n, std::align_val_t al) {
 }
 void* operator new[](std::size_t n, std::align_val_t al) { return ::operator new(n, al); }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { counted_free(p); }
 
 namespace {
 
@@ -221,6 +246,84 @@ TEST(FleetAllocTest, WarmFleetPathIsAllocationFree) {
 
   fleet.close();
   fleet.join();
+}
+
+// Fresh sessions, scalar and grouped alike, allocate nothing from their
+// first chunk to their terminal record: open() and start() size every
+// engine, batch and arena for FleetConfig::max_chunk up front.
+void expect_fresh_fleet_allocation_free(std::size_t batch_width) {
+  const synth::Recording rec = make_recording(20.0);
+  constexpr std::size_t kSessions = 16;  // one lockstep group per worker at width 8
+  core::FleetConfig cfg;
+  cfg.workers = 2;
+  cfg.batch_width = batch_width;  // max_chunk stays at its default, 256
+  core::SessionManager fleet(rec.fs, cfg);
+  std::vector<core::SessionHandle> handles;
+  for (std::size_t s = 0; s < kSessions; ++s) handles.push_back(fleet.open());
+  fleet.start();
+  std::vector<FleetBeat> sink;
+  sink.reserve(8192);
+
+  AllocationProbe probe;
+  const std::size_t n = rec.ecg_mv.size();
+  for (std::size_t i = 0; i < n; i += kChunk) {
+    const std::size_t len = std::min(kChunk, n - i);
+    for (core::SessionHandle& h : handles)
+      h.push(dsp::SignalView(rec.ecg_mv.data() + i, len),
+             dsp::SignalView(rec.z_ohm.data() + i, len), sink);
+  }
+  for (core::SessionHandle& h : handles) h.finish(sink);
+  // Terminal records may already have arrived while the blocking verbs
+  // above drained into the sink.
+  std::size_t ended = 0, scanned = 0;
+  while (ended < kSessions) {
+    fleet.poll(sink);
+    for (; scanned < sink.size(); ++scanned)
+      if (sink[scanned].end_of_session) ++ended;
+  }
+  const std::uint64_t allocations = probe.delta();
+  ASSERT_LE(sink.size(), sink.capacity());
+  EXPECT_GT(sink.size(), 100u) << "the sessions should deliver beats";
+  EXPECT_EQ(allocations, 0u) << "batch_width " << batch_width
+                             << ": fresh sessions allocated while streaming";
+
+  fleet.close();
+  fleet.join();
+  std::uint64_t dissolves = 0;
+  for (const core::FleetWorkerStats& w : fleet.worker_stats()) dissolves += w.group_dissolves;
+  EXPECT_EQ(dissolves, 0u);
+}
+
+TEST(FleetAllocTest, FreshScalarSessionsAreAllocationFreeFromTheFirstChunk) {
+  expect_fresh_fleet_allocation_free(1);
+}
+
+TEST(FleetAllocTest, FreshGroupedSessionsAreAllocationFreeFromTheFirstChunk) {
+  expect_fresh_fleet_allocation_free(8);
+}
+
+// A grouped session carries no scalar engine of its own and no extra
+// stash: 16 sessions opened and started at width 8 hold no more heap than
+// the same sessions at width 1.
+TEST(FleetAllocTest, GroupedSessionsHoldNoMoreHeapThanScalar) {
+  const auto heap_after_start = [](std::size_t batch_width) {
+    core::FleetConfig cfg;
+    cfg.workers = 2;
+    cfg.batch_width = batch_width;
+    const std::int64_t before = g_live_bytes.load();
+    core::SessionManager fleet(250.0, cfg);
+    std::vector<core::SessionHandle> handles;
+    for (std::size_t s = 0; s < 16; ++s) handles.push_back(fleet.open());
+    fleet.start();
+    const std::int64_t held = g_live_bytes.load() - before;
+    fleet.close();
+    fleet.join();
+    return held;
+  };
+  const std::int64_t scalar = heap_after_start(1);
+  const std::int64_t grouped = heap_after_start(8);
+  EXPECT_GT(scalar, 0);
+  EXPECT_LE(grouped, scalar) << "grouped " << grouped << " B vs scalar " << scalar << " B";
 }
 
 } // namespace

@@ -2,10 +2,11 @@
 //
 // The contract under test: a fleet running with batch_width = 4 or 8
 // emits per-session beat streams byte-identical to the scalar fleet
-// (and therefore to a directly-fed StreamingBeatPipeline), including
-// when groups dissolve mid-stream — on migration, on finish, or when
-// lanes receive mismatched chunk lengths. Sessions that don't fill a
-// whole group must silently run scalar.
+// (and therefore to a directly-fed StreamingBeatPipeline), whether its
+// groups run to a lockstep finish or dissolve mid-stream — on
+// migration, when lanes receive mismatched chunk lengths, or when the
+// pilot waits on one lane without feeding the others. Sessions that
+// don't fill a whole group must silently run scalar.
 #include "core/fleet.h"
 
 #include "core/batch.h"
@@ -39,11 +40,13 @@ std::vector<synth::Recording> test_workload(std::size_t distinct, double duratio
 }
 
 // Feeds `sessions` copies of the workload through a fleet and returns
-// each session's serialized beat stream plus its terminal summary beat
-// count (so callers can assert the quality aggregate survived batching).
+// each session's serialized beat stream plus its terminal summary (so
+// callers can assert the quality aggregate survived batching), and the
+// fleet's group dissolve count.
 struct FleetRun {
   std::vector<std::vector<unsigned char>> streams;
-  std::vector<std::uint64_t> summary_beats;
+  std::vector<core::QualitySummary> summaries;
+  std::uint64_t dissolves = 0;
 };
 
 FleetRun run_fleet(const std::vector<synth::Recording>& workload, std::size_t sessions,
@@ -73,15 +76,45 @@ FleetRun run_fleet(const std::vector<synth::Recording>& workload, std::size_t se
 
   FleetRun out;
   out.streams.resize(sessions);
-  out.summary_beats.assign(sessions, 0);
+  out.summaries.resize(sessions);
   for (const FleetBeat& fb : sink) {
     if (fb.end_of_session) {
-      out.summary_beats[fb.session] = fb.session_summary.beats;
+      out.summaries[fb.session] = fb.session_summary;
       continue;
     }
     serialize_beat(fb.beat, out.streams[fb.session]);
   }
+  for (const core::FleetWorkerStats& w : fleet.worker_stats()) out.dissolves += w.group_dissolves;
   return out;
+}
+
+std::vector<std::vector<unsigned char>> streams_of(const std::vector<FleetBeat>& sink,
+                                                   std::size_t sessions) {
+  std::vector<std::vector<unsigned char>> streams(sessions);
+  for (const FleetBeat& fb : sink)
+    if (!fb.end_of_session) serialize_beat(fb.beat, streams[fb.session]);
+  return streams;
+}
+
+std::uint64_t dissolves_of(const SessionManager& fleet) {
+  std::uint64_t n = 0;
+  for (const core::FleetWorkerStats& w : fleet.worker_stats()) n += w.group_dissolves;
+  return n;
+}
+
+void expect_same_summary(const core::QualitySummary& a, const core::QualitySummary& b,
+                         std::size_t s) {
+  EXPECT_EQ(a.beats, b.beats) << "session " << s;
+  EXPECT_EQ(a.usable, b.usable) << "session " << s;
+  for (std::size_t f = 0; f < std::size(a.flaw_counts); ++f)
+    EXPECT_EQ(a.flaw_counts[f], b.flaw_counts[f]) << "session " << s << " flaw " << f;
+  EXPECT_EQ(a.ecg_dropouts, b.ecg_dropouts) << "session " << s;
+  EXPECT_EQ(a.z_dropouts, b.z_dropouts) << "session " << s;
+  EXPECT_EQ(a.detector_resets, b.detector_resets) << "session " << s;
+  EXPECT_EQ(a.ensemble_folds_skipped, b.ensemble_folds_skipped) << "session " << s;
+  EXPECT_EQ(a.snr_beats, b.snr_beats) << "session " << s;
+  EXPECT_EQ(a.sum_snr_db, b.sum_snr_db) << "session " << s;
+  EXPECT_EQ(a.min_snr_db, b.min_snr_db) << "session " << s;
 }
 
 void expect_same_run(const FleetRun& scalar, const FleetRun& batched) {
@@ -90,7 +123,7 @@ void expect_same_run(const FleetRun& scalar, const FleetRun& batched) {
     EXPECT_FALSE(scalar.streams[s].empty()) << "session " << s << " produced no beats";
     EXPECT_EQ(scalar.streams[s], batched.streams[s])
         << "session " << s << ": scalar vs batched fleet mismatch";
-    EXPECT_EQ(scalar.summary_beats[s], batched.summary_beats[s])
+    EXPECT_EQ(scalar.summaries[s].beats, batched.summaries[s].beats)
         << "session " << s << ": quality summary diverged";
   }
 }
@@ -107,6 +140,102 @@ TEST(FleetBatchTest, WidthEightMatchesScalarFleet) {
   constexpr std::size_t kSessions = 8;
   expect_same_run(run_fleet(workload, kSessions, 1, /*batch_width=*/1),
                   run_fleet(workload, kSessions, 1, /*batch_width=*/8));
+}
+
+// Equal chunks and a finish on every session: each group runs from its
+// first chunk to a lockstep finish without ever dissolving, and every
+// terminal QualitySummary equals the scalar fleet's.
+TEST(FleetBatchTest, LockstepFinishNeedsNoDissolve) {
+  const auto workload = test_workload(3, 8.0);
+  constexpr std::size_t kSessions = 16;  // one group of 8 per worker
+  const FleetRun scalar = run_fleet(workload, kSessions, 2, /*batch_width=*/1);
+  const FleetRun batched = run_fleet(workload, kSessions, 2, /*batch_width=*/8);
+  expect_same_run(scalar, batched);
+  EXPECT_EQ(batched.dissolves, 0u) << "a group dissolved although every lane stayed in step";
+  for (std::size_t s = 0; s < kSessions; ++s)
+    expect_same_summary(batched.summaries[s], scalar.summaries[s], s);
+}
+
+// A blocking push that runs one lane chunk_slots_per_session chunks
+// ahead of its group fills that session's window with held chunks. The
+// push must not deadlock: once the pilot stalls, the group dissolves and
+// the lane runs on, scalar and byte-identical.
+TEST(FleetBatchTest, BlockingPushAheadOfTheGroupCompletes) {
+  const auto workload = test_workload(2, 6.0);
+  constexpr std::size_t kSessions = 8;
+  const FleetRun scalar = run_fleet(workload, kSessions, 1, /*batch_width=*/1);
+
+  FleetConfig cfg;
+  cfg.workers = 1;
+  cfg.max_chunk = kChunk;
+  cfg.batch_width = 8;
+  SessionManager fleet(workload[0].fs, cfg);
+  std::vector<SessionHandle> handles;
+  for (std::size_t s = 0; s < kSessions; ++s) handles.push_back(fleet.open());
+  fleet.start();
+
+  std::vector<FleetBeat> sink;
+  const std::size_t n = workload[0].ecg_mv.size();
+  // Session 0 alone, far past its window of held chunks.
+  for (std::size_t i = 0; i < n; i += kChunk) {
+    const std::size_t len = std::min(kChunk, n - i);
+    handles[0].push(dsp::SignalView(workload[0].ecg_mv.data() + i, len),
+                    dsp::SignalView(workload[0].z_ohm.data() + i, len), sink);
+  }
+  for (std::size_t s = 1; s < kSessions; ++s) {
+    const synth::Recording& rec = workload[s % workload.size()];
+    for (std::size_t i = 0; i < n; i += kChunk) {
+      const std::size_t len = std::min(kChunk, n - i);
+      handles[s].push(dsp::SignalView(rec.ecg_mv.data() + i, len),
+                      dsp::SignalView(rec.z_ohm.data() + i, len), sink);
+    }
+  }
+  fleet.run_to_completion(sink);
+  EXPECT_EQ(dissolves_of(fleet), 1u);
+  const auto streams = streams_of(sink, kSessions);
+  for (std::size_t s = 0; s < kSessions; ++s)
+    EXPECT_EQ(streams[s], scalar.streams[s]) << "session " << s;
+}
+
+// A pilot that finishes one lane and then waits for that lane's
+// terminal record, without finishing the others, must get it: the held
+// finish cannot run in lockstep, so the stalled group dissolves.
+TEST(FleetBatchTest, WaitingOnOneFinishedLaneCompletes) {
+  const auto workload = test_workload(2, 6.0);
+  constexpr std::size_t kSessions = 8;
+  const FleetRun scalar = run_fleet(workload, kSessions, 1, /*batch_width=*/1);
+
+  FleetConfig cfg;
+  cfg.workers = 1;
+  cfg.max_chunk = kChunk;
+  cfg.batch_width = 8;
+  SessionManager fleet(workload[0].fs, cfg);
+  std::vector<SessionHandle> handles;
+  for (std::size_t s = 0; s < kSessions; ++s) handles.push_back(fleet.open());
+  fleet.start();
+
+  std::vector<FleetBeat> sink;
+  const std::size_t n = workload[0].ecg_mv.size();
+  for (std::size_t i = 0; i < n; i += kChunk) {
+    const std::size_t len = std::min(kChunk, n - i);
+    for (std::size_t s = 0; s < kSessions; ++s) {
+      const synth::Recording& rec = workload[s % workload.size()];
+      handles[s].push(dsp::SignalView(rec.ecg_mv.data() + i, len),
+                      dsp::SignalView(rec.z_ohm.data() + i, len), sink);
+    }
+  }
+  handles[0].finish(sink);
+  const auto lane0_ended = [&] {
+    return std::any_of(sink.begin(), sink.end(), [&](const FleetBeat& fb) {
+      return fb.end_of_session && fb.session == handles[0].id();
+    });
+  };
+  while (!lane0_ended()) fleet.poll(sink);
+  fleet.run_to_completion(sink);
+  EXPECT_EQ(dissolves_of(fleet), 1u);
+  const auto streams = streams_of(sink, kSessions);
+  for (std::size_t s = 0; s < kSessions; ++s)
+    EXPECT_EQ(streams[s], scalar.streams[s]) << "session " << s;
 }
 
 TEST(FleetBatchTest, RemainderSessionsRunScalar) {
@@ -235,23 +364,30 @@ TEST(FleetBatchTest, ValidatesBatchWidth) {
   EXPECT_NO_THROW(SessionManager fleet(250.0, cfg));
 }
 
-// The per-ISA auto width: batch_width = 0 must resolve to the width
-// this build's register file carries without spilling — W=8 only on a
-// 512-bit or 32-register file (AVX-512, NEON), W=4 on plain AVX2, and
-// scalar everywhere the lane vector lowers to SSE2/scalar code. Keeps
-// dsp::default_batch_width honest against dsp::lane_isa for whatever
-// -march this test was compiled with.
+// The auto width: batch_width = 0 resolves to W=8 wherever the lane
+// vector is a native vector type — AVX-512, AVX2 (two-half
+// PairLanes64), baseline SSE2 and NEON alike — and only the plain-array
+// fallback stays scalar. dsp::lane_isa() reports the runtime choice:
+// the dispatched per-ISA build when the CPU runs one, the build's own
+// ISA otherwise.
 TEST(FleetBatchTest, DefaultBatchWidthMatchesIsa) {
   const std::string isa = dsp::lane_isa();
   const std::size_t width = dsp::default_batch_width();
-  if (isa == "avx512" || isa == "neon" || isa == "avx2") {
-    // Plain AVX2 also defaults to 8: the two-half PairLanes64 lowering
-    // keeps W=8 register-resident there (see dsp/simd.h).
-    EXPECT_EQ(width, 8u);
-  } else {
-    EXPECT_EQ(width, 1u) << "ISA " << isa << " should not auto-batch";
+  switch (dsp::lane_target()) {
+    case dsp::LaneTarget::X86_64_V4:
+      EXPECT_EQ(isa, "avx512");
+      break;
+    case dsp::LaneTarget::X86_64_V3:
+      EXPECT_EQ(isa, "avx2");
+      break;
+    case dsp::LaneTarget::Build:
+      EXPECT_EQ(isa, dsp::compiled_lane_isa());
+      break;
   }
-  if (width > 1) {
+  if (isa == "scalar") {
+    EXPECT_EQ(width, 1u) << "the plain-array lane fallback should not auto-batch";
+  } else {
+    EXPECT_EQ(width, 8u) << "ISA " << isa;
     EXPECT_TRUE(core::session_batch_width_supported(width));
   }
 
