@@ -9,6 +9,10 @@
 // amortizing every filter coefficient load across W sessions; correctness
 // is not assumed — the bench serializes every beat stream and checks the
 // batched outputs byte-identical to scalar before reporting speedups.
+// One pass of a leg lasts only milliseconds, so (a), (b) and (c) run
+// interleaved for kRounds rounds: each round yields one paired speedup,
+// the gate reads their median and the JSON records the interquartile
+// range beside it. Byte identity is checked on every round.
 //
 // Fleet leg: the same session count through SessionManager at a fixed
 // worker count, scalar (batch_width 1) vs batched (batch_width 8).
@@ -34,6 +38,7 @@
 #include "core/pipeline.h"
 #include "dsp/denormal.h"
 #include "dsp/simd.h"
+#include "dsp/stats.h"
 #include "report/table.h"
 #include "synth/recording.h"
 
@@ -59,6 +64,8 @@ using core::SessionManager;
 using core::serialize_beat;
 
 constexpr std::size_t kChunk = 64;
+/// Interleaved rounds of the single-thread legs.
+constexpr std::size_t kRounds = 9;
 
 std::size_t env_size(const char* name, std::size_t fallback) {
   const char* v = std::getenv(name);
@@ -66,6 +73,13 @@ std::size_t env_size(const char* name, std::size_t fallback) {
   const long parsed = std::atol(v);
   return parsed > 0 ? static_cast<std::size_t>(parsed) : fallback;
 }
+
+/// Median and interquartile range of per-round measurements.
+struct Spread {
+  double median = 0.0, iqr = 0.0;
+  explicit Spread(const std::vector<double>& x)
+      : median(dsp::median(x)), iqr(dsp::percentile(x, 75.0) - dsp::percentile(x, 25.0)) {}
+};
 
 struct Leg {
   double wall_s = 0.0;
@@ -221,7 +235,7 @@ int main() {
   std::cout << "lane ISA: " << dsp::compiled_lane_isa()
             << " (fleet leg dispatches to " << dsp::lane_isa() << "), sessions: " << sessions
             << ", recording: " << duration_s << " s @ 250 Hz, chunk: " << kChunk
-            << " samples\n";
+            << " samples, rounds: " << kRounds << "\n";
 
   synth::RecordingConfig rcfg;
   rcfg.duration_s = duration_s;
@@ -236,21 +250,35 @@ int main() {
   // in whichever leg runs first.
   (void)run_scalar(workload, std::min<std::size_t>(sessions, 4));
 
-  const Leg scalar = run_scalar(workload, sessions);
-  const Leg w4 = run_batched(workload, sessions, 4);
-  const Leg w8 = run_batched(workload, sessions, 8);
+  // Interleaved rounds: one pass of each leg per round, so drift in the
+  // host's speed lands on all three alike.
+  std::vector<double> sps_scalar, sps_w4, sps_w8, sp_w4, sp_w8, w8_w4;
+  bool identical = true;
+  for (std::size_t r = 0; r < kRounds; ++r) {
+    const Leg scalar = run_scalar(workload, sessions);
+    const Leg w4 = run_batched(workload, sessions, 4);
+    const Leg w8 = run_batched(workload, sessions, 8);
+    identical = identical && w4.streams == scalar.streams && w8.streams == scalar.streams;
+    sps_scalar.push_back(scalar.sps());
+    sps_w4.push_back(w4.sps());
+    sps_w8.push_back(w8.sps());
+    sp_w4.push_back(scalar.sps() > 0.0 ? w4.sps() / scalar.sps() : 0.0);
+    sp_w8.push_back(scalar.sps() > 0.0 ? w8.sps() / scalar.sps() : 0.0);
+    w8_w4.push_back(w4.sps() > 0.0 ? w8.sps() / w4.sps() : 0.0);
+  }
+  const Spread scalar_sps(sps_scalar), w4_sps(sps_w4), w8_sps(sps_w8);
+  const Spread speedup_w4(sp_w4), speedup_w8(sp_w8), w8_over_w4(w8_w4);
 
-  const bool identical = w4.streams == scalar.streams && w8.streams == scalar.streams;
-  const double speedup_w4 = scalar.sps() > 0.0 ? w4.sps() / scalar.sps() : 0.0;
-  const double speedup_w8 = scalar.sps() > 0.0 ? w8.sps() / scalar.sps() : 0.0;
-
-  report::Table table({"mode", "wall s", "samples/s", "speedup"});
-  table.row().add(std::string("scalar")).add(scalar.wall_s, 3).add(scalar.sps(), 0).add(1.0, 2);
-  table.row().add("batch W=4").add(w4.wall_s, 3).add(w4.sps(), 0).add(speedup_w4, 2);
-  table.row().add("batch W=8").add(w8.wall_s, 3).add(w8.sps(), 0).add(speedup_w8, 2);
+  report::Table table({"mode (median of " + std::to_string(kRounds) + ")", "samples/s",
+                       "speedup", "speedup IQR"});
+  table.row().add(std::string("scalar")).add(scalar_sps.median, 0).add(1.0, 2).add(0.0, 3);
+  table.row().add("batch W=4").add(w4_sps.median, 0).add(speedup_w4.median, 2).add(
+      speedup_w4.iqr, 3);
+  table.row().add("batch W=8").add(w8_sps.median, 0).add(speedup_w8.median, 2).add(
+      speedup_w8.iqr, 3);
   table.print(std::cout);
   std::cout << (identical
-                    ? "identity: batched beat streams byte-identical to scalar\n"
+                    ? "identity: batched beat streams byte-identical to scalar in every round\n"
                     : "FAIL: batched beat streams differ from scalar\n");
 
   // Fleet leg: fixed worker count, scalar vs batch_width = 8.
@@ -311,10 +339,9 @@ int main() {
   const bool w8_rel_enforced = isa == "avx2" || isa == "avx512";
   const double kMinSpeedupW4 = isa == "avx512" ? 3.0 : 2.5;
   constexpr double kMinSpeedupW8 = 3.0, kMinW8OverW4 = 1.0;
-  const double w8_over_w4 = speedup_w4 > 0.0 ? speedup_w8 / speedup_w4 : 0.0;
-  const bool w4_ok = speedup_w4 >= kMinSpeedupW4;
-  const bool w8_ok = speedup_w8 >= kMinSpeedupW8;
-  const bool w8_rel_ok = w8_over_w4 >= kMinW8OverW4;
+  const bool w4_ok = speedup_w4.median >= kMinSpeedupW4;
+  const bool w8_ok = speedup_w8.median >= kMinSpeedupW8;
+  const bool w8_rel_ok = w8_over_w4.median >= kMinW8OverW4;
   std::cout << "speedup acceptance: W=4 >= " << kMinSpeedupW4 << "x "
             << (w4_enforced ? (w4_ok ? "met" : "NOT MET") : "not enforced") << ", W=8 >= "
             << kMinSpeedupW8 << "x "
@@ -332,12 +359,16 @@ int main() {
        << "\",\n  \"hardware_threads\": " << hw
        << ",\n  \"sessions\": " << sessions << ",\n  \"recording_s\": " << duration_s
        << ",\n  \"chunk\": " << kChunk
-       << ",\n  \"scalar_samples_per_sec\": " << scalar.sps()
-       << ",\n  \"w4_samples_per_sec\": " << w4.sps()
-       << ",\n  \"w8_samples_per_sec\": " << w8.sps()
-       << ",\n  \"speedup_w4\": " << speedup_w4
-       << ",\n  \"speedup_w8\": " << speedup_w8
-       << ",\n  \"w8_over_w4\": " << w8_over_w4
+       << ",\n  \"repeats\": " << kRounds
+       << ",\n  \"scalar_samples_per_sec\": " << scalar_sps.median
+       << ",\n  \"w4_samples_per_sec\": " << w4_sps.median
+       << ",\n  \"w8_samples_per_sec\": " << w8_sps.median
+       << ",\n  \"speedup_w4\": " << speedup_w4.median
+       << ",\n  \"speedup_w8\": " << speedup_w8.median
+       << ",\n  \"w8_over_w4\": " << w8_over_w4.median
+       << ",\n  \"speedup_w4_iqr\": " << speedup_w4.iqr
+       << ",\n  \"speedup_w8_iqr\": " << speedup_w8.iqr
+       << ",\n  \"w8_over_w4_iqr\": " << w8_over_w4.iqr
        << ",\n  \"acceptance_min_speedup_w4\": " << kMinSpeedupW4
        << ",\n  \"acceptance_min_speedup_w8\": " << kMinSpeedupW8
        << ",\n  \"acceptance_min_w8_over_w4\": " << kMinW8OverW4

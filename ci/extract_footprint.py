@@ -9,9 +9,16 @@ instead of just a number. The JSON feeds ci/check_bench_regression.py
 --only footprint, which gates the totals against the committed budget in
 bench/bench_baselines.json.
 
+With --image, it also records the `size` text column of one linked
+firmware image (build-embedded/embed_smoke, linked with --gc-sections):
+what a firmware that links the library actually carries, as opposed to
+the archive sum, which counts every member whole. The image figure is
+reported, not gated.
+
 Usage:
   ci/extract_footprint.py --archive build-embedded/libicgkit_embedded.a \
-      --out BENCH_footprint.json [--compiler "$(gcc --version | head -1)"]
+      --out BENCH_footprint.json [--image build-embedded/embed_smoke] \
+      [--compiler "$(gcc --version | head -1)"]
 """
 import argparse
 import json
@@ -47,6 +54,15 @@ def sum_sections(archive: str):
     return text, data, bss, members
 
 
+def image_text(image: str) -> int:
+    """The text column of `size` for one linked executable."""
+    for line in run(["size", image]).splitlines():
+        parts = line.split()
+        if len(parts) >= 6 and parts[0].isdigit():
+            return int(parts[0])
+    sys.exit(f"FAIL: `size {image}` reported no text column")
+
+
 def top_symbols(archive: str, count: int):
     """The `count` largest defined symbols, for regression forensics."""
     symbols = []
@@ -67,6 +83,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--archive", required=True, help="static library to measure")
     ap.add_argument("--out", default="BENCH_footprint.json", help="output JSON path")
+    ap.add_argument("--image", help="linked firmware image whose .text to report")
     ap.add_argument("--compiler", default="", help="compiler version string to record")
     ap.add_argument("--top", type=int, default=15, help="largest symbols to record")
     args = ap.parse_args()
@@ -87,12 +104,19 @@ def main() -> int:
         "compiler": args.compiler,
         "top_symbols": top_symbols(str(archive), args.top),
     }
+    if args.image:
+        image = pathlib.Path(args.image)
+        if not image.exists():
+            sys.exit(f"FAIL: image {image} does not exist")
+        result["image"] = {"file": image.name, "text_bytes": image_text(str(image))}
     with open(args.out, "w") as f:
         json.dump(result, f, indent=2)
         f.write("\n")
     print(f"{archive.name}: .text {text / 1024.0:.1f} KiB, "
           f".data {data / 1024.0:.1f} KiB, .bss {bss / 1024.0:.1f} KiB "
           f"({members} members) -> {args.out}")
+    if "image" in result:
+        print(f"{result['image']['file']}: linked .text {result['image']['text_bytes']} B")
     return 0
 
 

@@ -17,11 +17,15 @@
 
 namespace icgkit::core {
 
-ICGKIT_LANES_BEGIN
 // The two supported lane counts (the header declares the matching
 // extern templates). W=4 is one AVX2 register per LaneVec, W=8 is one
 // AVX-512 register or two AVX2 ops — both lower to SSE2/NEON pairs on
-// narrower targets.
+// narrower targets. dsp::BatchBackend<W> names this object's lane
+// namespace, so each ISA object compiles its own engines.
+template class BasicStreamingBeatPipeline<dsp::BatchBackend<4>>;
+template class BasicStreamingBeatPipeline<dsp::BatchBackend<8>>;
+
+ICGKIT_LANES_BEGIN
 template class SessionBatch<4>;
 template class SessionBatch<8>;
 ICGKIT_LANES_END

@@ -3,15 +3,16 @@
 //
 // The fleet's hot path is thousands of *identical* per-session filter
 // cascades, each loading the same coefficients to process one double.
-// SessionBatch<W> packs W same-configuration sessions into a single
-// pipeline instantiated over dsp::BatchBackend<W>: every streaming
-// kernel of the sample-rate front (ECG cleaner, ICG conditioner, the
-// shared ecg::QrsFeatureFront) ticks once per sample with LaneVec<W>
-// operands, loading each coefficient once for W sessions. Control flow
-// that diverges per session — the QRS decision tail and everything past
-// the feature boundary — fans out into W scalar structures: per-lane
-// QrsDecisionTail (inside ecg::BatchOnlinePanTompkins) and per-lane
-// core::BeatAssembler, the same per-beat tail the scalar engine runs.
+// SessionBatch<W> packs W same-configuration sessions into one streaming
+// engine, BasicStreamingBeatPipeline<dsp::BatchBackend<W>>: the same
+// template as the scalar engines, instantiated over W lanes. Every
+// streaming kernel of the sample-rate front (ECG cleaner, ICG
+// conditioner, the shared ecg::QrsFeatureFront) ticks once per sample
+// with LaneVec<W> operands, loading each coefficient once for W
+// sessions. Control flow that diverges per session — the QRS decision
+// tail and everything past the feature boundary — runs in the engine's
+// per-lane tails: one QrsDecisionTail and one core::BeatAssembler per
+// lane, the code the scalar engine runs for its one lane.
 //
 // Identity contract: each lane's emitted BeatRecords are byte-identical
 // to a scalar StreamingBeatPipeline fed the same per-lane stream (the
@@ -27,14 +28,20 @@
 // engine restores — which is how the fleet dissolves a batch back to
 // per-session engines when lanes diverge (migration, recording, chunk
 // shape mismatch, a stall). The fleet builds its batches fresh: a fresh
-// batch is exactly W fresh engines. The lane adaptors below rewrite the
-// scalar wire format per lane, so the blob layout is exactly
+// batch is exactly W fresh engines. Both are the engine's own
+// load_state()/save_state() through the lane adaptors below, which
+// rewrite the scalar wire format per lane, so every lane blob is exactly
 // StreamingBeatPipeline's version-1 format, golden fixtures included.
+//
+// The front/tail profiler (enable_profiling) exists only in these lane
+// engines; the scalar and firmware engines carry no flag and read no
+// clock.
 //
 // Everything lane-typed here sits in ICGKIT_LANES_BEGIN/END: batch.cpp
 // is compiled once per ISA level and make_session_batch() picks the
-// widest the CPU runs (see dsp/simd.h). SessionBatchBase and the
-// factories are the ISA-independent boundary.
+// widest the CPU runs (see dsp/simd.h). The lane engines are
+// instantiated only there. SessionBatchBase and the factories are the
+// ISA-independent boundary.
 #pragma once
 
 #include "core/checkpoint.h"
@@ -44,10 +51,7 @@
 #include "dsp/simd.h"
 #include "ecg/pan_tompkins.h"
 
-#include <algorithm>
-#include <array>
 #include <bit>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -89,8 +93,7 @@ class SessionBatchBase {
   virtual void finish(std::vector<BeatRecord>* out) = 0;
 
   /// Pre-sizes every push and finish arena for chunks of up to
-  /// `max_chunk` samples per lane (see
-  /// StreamingBeatPipeline::reserve_chunk).
+  /// `max_chunk` samples per lane (see detail::reserve_push_arenas).
   virtual void reserve_chunk(std::size_t max_chunk) = 0;
 
   [[nodiscard]] virtual const QualitySummary& lane_quality(std::size_t lane) const = 0;
@@ -105,20 +108,24 @@ class SessionBatchBase {
   /// into tail_ns(). Off by default — the clock reads would perturb the
   /// gated throughput numbers, so benches measure speedups with it off
   /// and take the breakdown from a separate instrumented pass.
-  virtual void enable_profiling(bool) {}
-  [[nodiscard]] virtual std::uint64_t front_ns() const { return 0; }
-  [[nodiscard]] virtual std::uint64_t tail_ns() const { return 0; }
+  virtual void enable_profiling(bool on) = 0;
+  [[nodiscard]] virtual std::uint64_t front_ns() const = 0;
+  [[nodiscard]] virtual std::uint64_t tail_ns() const = 0;
 };
+
+// The lane engines, compiled only in batch.cpp (once per ISA object).
+extern template class BasicStreamingBeatPipeline<dsp::BatchBackend<4>>;
+extern template class BasicStreamingBeatPipeline<dsp::BatchBackend<8>>;
 
 ICGKIT_LANES_BEGIN
 
 /// StateWriter fan-out for batched kernels: uniform fields (counters,
 /// flags, configuration) broadcast to all W per-lane writers; LaneVec
-/// values scatter one scalar per lane. Kernels with per-lane state
-/// (BatchStreamingExtremum, the QRS decision tails) grab a single lane's
-/// writer via lane_writer() and serialize the plain scalar layout. The
-/// result: W independent byte streams, each exactly the scalar kernel's
-/// wire format.
+/// values scatter one scalar per lane. Per-lane state
+/// (BatchStreamingExtremum, the engine's per-lane tails) grabs a single
+/// lane's writer via lane_writer() (or dsp::lane_io()) and serializes the
+/// plain scalar layout. The result: W independent byte streams, each
+/// exactly the scalar engine's wire format.
 template <std::size_t W>
 class LaneStateWriter {
  public:
@@ -214,87 +221,33 @@ class LaneStateReader {
   StateReader* lanes_;
 };
 
-/// W lockstep sessions through one BatchBackend<W> stage front; see the
-/// header comment for the architecture and the identity contract.
+/// W lockstep sessions behind the runtime-width interface: a thin
+/// adaptor over BasicStreamingBeatPipeline<dsp::BatchBackend<W>> (see
+/// the header comment for the architecture and the identity contract).
 template <std::size_t W>
 class SessionBatch final : public SessionBatchBase {
  public:
-  using backend_t = dsp::BatchBackend<W>;
-  using sample_t = typename backend_t::sample_t;
-  /// Push block length, the scalar engine's (see push()).
-  static constexpr std::size_t kPushBlock = StreamingBeatPipeline::kPushBlock;
-  /// Push always packs the W input streams into e_arena_/z_arena_.
-  static constexpr bool kInputArenas = true;
+  using engine_t = BasicStreamingBeatPipeline<dsp::BatchBackend<W>>;
 
   explicit SessionBatch(dsp::SampleRate fs, const PipelineConfig& cfg = {},
                         double window_s = 12.0)
-      : fs_(fs), cfg_(cfg),
-        window_samples_(static_cast<std::size_t>(std::max(4.0, window_s) * fs)),
-        ecg_stage_(fs, cfg.ecg_filter),
-        icg_stage_(fs, cfg.icg_filter, 0),
-        qrs_(fs, cfg.qrs) {
-    // The scalar double engine's saturation rails come from the default
-    // scaling policy; use the same ones so lane verdicts match it.
-    const dsp::Q31ScalingPolicy scaling{};
-    assemblers_.reserve(W);
-    for (std::size_t l = 0; l < W; ++l)
-      assemblers_.emplace_back(fs, cfg, window_samples_, /*z_scale=*/1.0,
-                               /*icg_scale=*/1.0, scaling.ecg_fullscale_mv,
-                               scaling.z_fullscale_ohm, icg_stage_.latency());
-    ecg_scratch_.reserve(512);
-    icg_scratch_.reserve(512);
-    for (auto& rs : r_scratch_) rs.reserve(64);
-  }
+      : engine_(fs, cfg, window_s) {}
 
   [[nodiscard]] std::size_t width() const override { return W; }
 
-  /// Two-phase lockstep advance, in blocks of at most kPushBlock
-  /// samples like the scalar engine. Phase 1 packs the W input streams
-  /// into SoA lane vectors and runs the fused fronts (ICG conditioner,
-  /// ECG cleaner, QRS feature chain) over the whole block — the only
-  /// part whose work is W-wide SIMD. Phase 2 replays the block lane-major
-  /// through the scalar tails: each lane's pending beats queue up during
-  /// the front tick and drain here, per raw sample, in exactly the
-  /// scalar engine's ingest order. Lanes share no tail state, so
-  /// lane-major replay emits byte-identical BeatRecords to the
-  /// sample-major interleaving (and to W scalar sessions).
   void push(const double* const* ecg_mv, const double* const* z_ohm, std::size_t len,
             std::vector<BeatRecord>* out) override {
-    for (std::size_t off = 0; off < len; off += kPushBlock)
-      push_block(ecg_mv, z_ohm, off, std::min(len - off, std::size_t{kPushBlock}), out);
+    engine_.push(ecg_mv, z_ohm, len, out);
   }
+  void finish(std::vector<BeatRecord>* out) override { engine_.finish(out); }
 
   void reserve_chunk(std::size_t max_chunk) override {
-    detail::reserve_push_arenas(*this, max_chunk);
+    detail::reserve_push_arenas(engine_, max_chunk);
   }
 
-  void enable_profiling(bool on) override { profile_ = on; }
-  [[nodiscard]] std::uint64_t front_ns() const override { return front_ns_; }
-  [[nodiscard]] std::uint64_t tail_ns() const override { return tail_ns_; }
-
-  void finish(std::vector<BeatRecord>* out) override {
-    icg_scratch_.clear();
-    icg_stage_.finish(icg_scratch_);
-    for (const sample_t v : icg_scratch_)
-      for (std::size_t l = 0; l < W; ++l) assemblers_[l].on_icg_sample(v.lane(l));
-    for (std::size_t l = 0; l < W; ++l) assemblers_[l].maybe_drain_ensemble();
-
-    ecg_scratch_.clear();
-    ecg_stage_.finish(ecg_scratch_);
-    feat_out_.clear();
-    feat_cum_.clear();
-    qrs_.front_chunk(ecg_scratch_, feat_out_, feat_cum_);
-    for (std::size_t l = 0; l < W; ++l) {
-      r_scratch_[l].clear();
-      ecg::replay_decision_tail(qrs_.decision_tail(l), ecg_scratch_, 0, ecg_scratch_.size(),
-                                feat_out_, feat_cum_, r_scratch_[l], lane_of(l));
-    }
-    qrs_.finish(feat_out_, r_scratch_.data());
-    for (std::size_t l = 0; l < W; ++l) {
-      for (const std::size_t r : r_scratch_[l]) assemblers_[l].on_r_peak(r);
-      assemblers_[l].drain_ready(out[l]);
-    }
-  }
+  void enable_profiling(bool on) override { engine_.enable_profiling(on); }
+  [[nodiscard]] std::uint64_t front_ns() const override { return engine_.front_ns(); }
+  [[nodiscard]] std::uint64_t tail_ns() const override { return engine_.tail_ns(); }
 
   void pack(const std::vector<std::vector<std::uint8_t>>& blobs) override {
     if (blobs.size() != W)
@@ -303,50 +256,9 @@ class SessionBatch final : public SessionBatchBase {
     readers.reserve(W);
     for (const auto& blob : blobs) readers.emplace_back(blob);
     LaneStateReader<W> r(readers.data());
-
-    r.begin_section("CFG ");
-    if (r.u8() != 0) r.fail("SessionBatch: lanes must be double-backend sessions");
-    if (r.f64() != fs_) r.fail("SessionBatch: sample-rate mismatch");
-    if (r.u64() != window_samples_) r.fail("SessionBatch: window mismatch");
-    if (r.boolean() != cfg_.enable_ensemble)
-      r.fail("SessionBatch: ensemble-stage mismatch");
-    r.end_section();
-
-    r.begin_section("ECGC");
-    ecg_stage_.load_state(r);
-    r.end_section();
-
-    r.begin_section("ICGC");
-    icg_stage_.load_state(r);
-    r.end_section();
-
-    r.begin_section("QRSD");
-    qrs_.load_state(r);
-    r.end_section();
-
-    // The per-beat tails are scalar per lane: each assembler reads its
-    // lane's plain reader, section framing shared so the streams stay in
-    // step.
-    for (std::size_t l = 0; l < W; ++l) {
-      StateReader& lr = r.lane_reader(l);
-      lr.begin_section("RING");
-      assemblers_[l].load_ring_body(lr);
-      lr.end_section();
-      lr.begin_section("BEAT");
-      assemblers_[l].load_beat_body(lr);
-      lr.end_section();
-      lr.begin_section("GAPS");
-      assemblers_[l].load_gaps_body(lr);
-      lr.end_section();
-      lr.begin_section("QSUM");
-      assemblers_[l].load_qsum_body(lr);
-      lr.end_section();
-      lr.begin_section("ENSB");
-      assemblers_[l].load_ensb_body(lr);
-      lr.end_section();
-      if (!lr.at_end())
-        throw CheckpointError("SessionBatch: trailing bytes in a lane blob");
-    }
+    engine_.load_state(r);
+    for (const StateReader& lr : readers)
+      if (!lr.at_end()) throw CheckpointError("SessionBatch: trailing bytes in a lane blob");
   }
 
   void unpack(std::vector<std::vector<std::uint8_t>>& blobs) const override {
@@ -355,145 +267,22 @@ class SessionBatch final : public SessionBatchBase {
     writers.reserve(W);
     for (auto& blob : blobs) writers.emplace_back(std::move(blob));
     LaneStateWriter<W> w(writers.data());
-
-    w.begin_section("CFG ");
-    w.u8(0);
-    w.f64(fs_);
-    w.u64(window_samples_);
-    w.boolean(cfg_.enable_ensemble);
-    w.end_section();
-
-    w.begin_section("ECGC");
-    ecg_stage_.save_state(w);
-    w.end_section();
-
-    w.begin_section("ICGC");
-    icg_stage_.save_state(w);
-    w.end_section();
-
-    w.begin_section("QRSD");
-    qrs_.save_state(w);
-    w.end_section();
-
-    for (std::size_t l = 0; l < W; ++l) {
-      StateWriter& lw = w.lane_writer(l);
-      lw.begin_section("RING");
-      assemblers_[l].save_ring_body(lw);
-      lw.end_section();
-      lw.begin_section("BEAT");
-      assemblers_[l].save_beat_body(lw);
-      lw.end_section();
-      lw.begin_section("GAPS");
-      assemblers_[l].save_gaps_body(lw);
-      lw.end_section();
-      lw.begin_section("QSUM");
-      assemblers_[l].save_qsum_body(lw);
-      lw.end_section();
-      lw.begin_section("ENSB");
-      assemblers_[l].save_ensb_body(lw);
-      lw.end_section();
-      blobs[l] = lw.take();
-    }
+    engine_.save_state(w);
+    for (std::size_t l = 0; l < W; ++l) blobs[l] = writers[l].take();
   }
 
   [[nodiscard]] const QualitySummary& lane_quality(std::size_t lane) const override {
-    return assemblers_[lane].quality_summary();
+    return engine_.quality_summary(lane);
   }
   [[nodiscard]] bool lane_in_dropout(std::size_t lane) const override {
-    return assemblers_[lane].in_dropout();
+    return engine_.in_dropout(lane);
   }
   [[nodiscard]] std::size_t samples_consumed() const override {
-    return assemblers_[0].samples_consumed();
+    return engine_.samples_consumed();
   }
 
  private:
-  /// push() for one block: samples [off, off + len) of every lane.
-  void push_block(const double* const* ecg_mv, const double* const* z_ohm, std::size_t off,
-                  std::size_t len, std::vector<BeatRecord>* out) {
-    const bool prof = profile_;
-    std::chrono::steady_clock::time_point t0, t1;
-    if (prof) t0 = std::chrono::steady_clock::now();
-
-    e_arena_.clear();
-    z_arena_.clear();
-    for (std::size_t i = 0; i < len; ++i) {
-      sample_t e{}, z{};
-      for (std::size_t l = 0; l < W; ++l) {
-        e.set_lane(l, ecg_mv[l][off + i]);
-        z.set_lane(l, z_ohm[l][off + i]);
-      }
-      e_arena_.push_back(e);
-      z_arena_.push_back(z);
-    }
-    icg_scratch_.clear();
-    icg_cum_.clear();
-    icg_stage_.process_chunk(z_arena_, icg_scratch_, icg_cum_);
-    ecg_scratch_.clear();
-    ecg_cum_.clear();
-    ecg_stage_.process_chunk(e_arena_, ecg_scratch_, ecg_cum_);
-    feat_out_.clear();
-    feat_cum_.clear();
-    qrs_.front_chunk(ecg_scratch_, feat_out_, feat_cum_);
-
-    if (prof) t1 = std::chrono::steady_clock::now();
-
-    for (std::size_t l = 0; l < W; ++l) {
-      auto& a = assemblers_[l];
-      auto& tail = qrs_.decision_tail(l);
-      auto& rs = r_scratch_[l];
-      std::uint32_t icg_lo = 0, ecg_lo = 0;
-      for (std::size_t i = 0; i < len; ++i) {
-        a.on_raw_sample(ecg_mv[l][off + i], z_ohm[l][off + i], z_arena_[i].lane(l),
-                        [this, l] { qrs_.soft_reset_lane(l); });
-        for (std::uint32_t k = icg_lo; k < icg_cum_[i]; ++k)
-          a.on_icg_sample(icg_scratch_[k].lane(l));
-        icg_lo = icg_cum_[i];
-        a.maybe_drain_ensemble();
-
-        rs.clear();
-        ecg::replay_decision_tail(tail, ecg_scratch_, ecg_lo, ecg_cum_[i], feat_out_,
-                                  feat_cum_, rs, lane_of(l));
-        ecg_lo = ecg_cum_[i];
-        for (const std::size_t r : rs) a.on_r_peak(r);
-        a.drain_ready(out[l]);
-      }
-    }
-
-    if (prof) {
-      const auto t2 = std::chrono::steady_clock::now();
-      front_ns_ += std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count();
-      tail_ns_ += std::chrono::duration_cast<std::chrono::nanoseconds>(t2 - t1).count();
-    }
-  }
-
-  /// Projection of a lane vector onto lane l, for the decision-tail replay.
-  template <typename E>
-  friend void detail::reserve_push_arenas(E&, std::size_t);
-
-  static auto lane_of(std::size_t l) {
-    return [l](const sample_t& v) { return v.lane(l); };
-  }
-
-  dsp::SampleRate fs_;
-  PipelineConfig cfg_;
-  std::size_t window_samples_;
-
-  BasicEcgCleanerStage<backend_t> ecg_stage_;
-  BasicIcgConditionerStage<backend_t> icg_stage_;
-  ecg::BatchOnlinePanTompkins<W> qrs_;
-  std::vector<BeatAssembler<dsp::DoubleBackend>> assemblers_; ///< one per lane
-
-  std::vector<sample_t> ecg_scratch_, icg_scratch_;
-  std::array<std::vector<std::size_t>, W> r_scratch_;
-  // Two-phase push arenas: SoA-packed inputs, the QRS front's feature
-  // stream, and each front's per-input cumulative-output counts. Reused
-  // across chunks.
-  std::vector<sample_t> e_arena_, z_arena_;
-  std::vector<sample_t> feat_out_;
-  std::vector<std::uint32_t> icg_cum_, ecg_cum_, feat_cum_;
-
-  bool profile_ = false;
-  std::uint64_t front_ns_ = 0, tail_ns_ = 0;
+  engine_t engine_;
 };
 
 // Compiled in batch.cpp: once with the build's flags and once per

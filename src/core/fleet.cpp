@@ -46,7 +46,7 @@ void SessionManager::attach_engine(Session& s, const std::vector<std::uint8_t>* 
   s.engine = std::make_unique<StreamingBeatPipeline>(fs_, cfg_.pipeline, cfg_.window_s);
   if (state != nullptr) s.engine->restore(*state);
   // After the restore, so stages already warm keep no warm-up buffer.
-  s.engine->reserve_chunk(cfg_.max_chunk);
+  detail::reserve_push_arenas(*s.engine, cfg_.max_chunk);
   s.beat_scratch.reserve(64);
 }
 

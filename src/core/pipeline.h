@@ -27,14 +27,19 @@
 //   - BeatPipeline::process        one recording, offline; byte-identical
 //     BeatRecords to StreamingBeatPipeline at any chunking, because it
 //     *is* StreamingBeatPipeline fed a single chunk.
+//   - BasicStreamingBeatPipeline<dsp::BatchBackend<W>>   the same engine
+//     over W lockstep sessions (SIMD lanes), byte-identical per lane to
+//     the double engine; core::SessionBatch<W> wraps it.
 //
 // Internally the engine is two halves joined at the feature boundary:
-// the *stage front* (ECG cleaner, QRS detector, ICG conditioner — the
-// data-parallel sample-rate chain) and the BeatAssembler (look-back
+// the *stage front* (ECG cleaner, QRS feature front, ICG conditioner —
+// the data-parallel sample-rate chain, W-wide on the batch backend) and
+// the per-lane tails: a QRS decision tail and a BeatAssembler (look-back
 // rings, contact-gap recovery, delineation, quality, hemodynamics,
-// ensemble — the per-session beat-rate tail). core::SessionBatch reuses
-// the assembler per lane under a SIMD-batched front, which is why it is
-// a named component rather than pipeline-private state.
+// ensemble — the per-session beat-rate tail). The engine holds one of
+// each per lane: one on the scalar backends, W on the batch backend.
+// Only the lane engines carry the front/tail profiler
+// (enable_profiling); the scalar and firmware engines read no clock.
 #pragma once
 
 #include "core/checkpoint.h"
@@ -52,11 +57,14 @@
 #include "dsp/types.h"
 
 #include <algorithm>
+#include <array>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -129,12 +137,14 @@ inline constexpr std::uint8_t kZFlat = 1u << 1;
 inline constexpr std::uint8_t kEcgSat = 1u << 2;
 inline constexpr std::uint8_t kZSat = 1u << 3;
 
-// Pre-sizes the push and finish arenas of a two-phase engine for chunks
-// of up to `max_chunk` samples. BasicStreamingBeatPipeline and the
-// lockstep SessionBatch share the stage/arena layout (both befriend this
-// function), so one sizing serves both. Pushes run in blocks of at most
-// Engine::kPushBlock samples, so no arena is sized beyond one block plus
-// the end-of-stream flush.
+// Pre-sizes every push and finish arena of a BasicStreamingBeatPipeline
+// (which befriends this function) for chunks of up to `max_chunk`
+// samples, so that neither a push of such chunks nor the finish flush
+// allocates from the first chunk on (the arenas otherwise grow on first
+// use). Pushes run in blocks of at most Engine::kPushBlock samples, so
+// no arena is sized beyond one block plus the end-of-stream flush. The
+// fleet calls it with FleetConfig::max_chunk; it is a free function so
+// that only the hosts that call it compile it.
 template <typename Engine>
 void reserve_push_arenas(Engine& e, std::size_t max_chunk) {
   max_chunk = std::min(max_chunk, std::size_t{Engine::kPushBlock});
@@ -156,6 +166,23 @@ void reserve_push_arenas(Engine& e, std::size_t max_chunk) {
     e.z_arena_.reserve(max_chunk);
   }
 }
+
+// The lane engines' push() profiler: a flag, the front/tail sums and
+// steady-clock reads while on. The one-lane engines hold a NoProfile,
+// which reads no clock. (Namespace-scope, so that instantiating a scalar
+// engine does not instantiate the clock read.)
+struct PushProfile {
+  bool on = false;
+  std::uint64_t front_ns = 0, tail_ns = 0;
+  [[nodiscard]] std::uint64_t now() const {
+    return on ? static_cast<std::uint64_t>(std::chrono::steady_clock::now().time_since_epoch() /
+                                           std::chrono::nanoseconds(1))
+              : 0;
+  }
+};
+struct NoProfile {
+  [[nodiscard]] static std::uint64_t now() { return 0; }
+};
 } // namespace detail
 
 /// The per-session beat-rate tail of the streaming engine: look-back
@@ -164,15 +191,15 @@ void reserve_push_arenas(Engine& e, std::size_t max_chunk) {
 /// and the optional ensemble stage. Everything downstream of the
 /// sample-rate stage front, with scalar (per-session) control flow.
 ///
-/// BasicStreamingBeatPipeline owns one assembler; core::SessionBatch
-/// owns W of them (one per SIMD lane) behind a shared batched front --
-/// the assembler is exactly the state whose control flow diverges per
-/// session, so batching stops at its boundary.
+/// BasicStreamingBeatPipeline owns one assembler per lane: one on the
+/// scalar backends, W (over DoubleBackend) behind the shared front of
+/// the batch backend -- the assembler is exactly the state whose control
+/// flow diverges per session, so batching stops at its boundary.
 ///
-/// Serialization is exposed as one body per checkpoint section (RING /
-/// BEAT / GAPS / QSUM / ENSB); the pipeline wraps them in its section
-/// framing, keeping the v1 wire layout byte-identical to the pre-split
-/// engine.
+/// save_state()/load_state() write the assembler's own five sections of
+/// the pipeline's v1 checkpoint layout (RING / BEAT / GAPS / QSUM /
+/// ENSB); a lane engine hands each lane's assembler its lane's writer,
+/// so every lane blob keeps that layout.
 template <typename B>
 class BeatAssembler {
  public:
@@ -256,9 +283,7 @@ class BeatAssembler {
   }
 
   [[nodiscard]] std::size_t samples_consumed() const { return consumed_; }
-  [[nodiscard]] std::size_t icg_count() const { return icg_count_; }
   [[nodiscard]] std::size_t r_peak_count() const { return r_peak_count_; }
-  [[nodiscard]] std::size_t window_samples() const { return window_samples_; }
   [[nodiscard]] const QualitySummary& quality_summary() const { return summary_; }
   [[nodiscard]] bool in_dropout() const { return ecg_gap_ || z_gap_; }
 
@@ -271,43 +296,27 @@ class BeatAssembler {
       return z_sum_ / static_cast<double>(consumed_);
   }
 
-  // -- checkpoint section bodies (wrapped by the owner's framing) -------
+  // -- checkpoint: the RING, BEAT, GAPS, QSUM and ENSB sections of the
+  // owner's v1 layout, in that order -----------------------------------
   template <typename W>
-  void save_ring_body(W& w) const {
+  void save_state(W& w) const {
+    w.begin_section("RING");
     icg_ring_.save_state(w);
     z_ring_.save_state(w);
     marks_.save_state(w);
     w.u64(icg_count_);
     w.u64(consumed_);
     w.value(z_sum_);
-  }
-  template <typename R>
-  void load_ring_body(R& r) {
-    icg_ring_.load_state(r, "StreamingBeatPipeline");
-    z_ring_.load_state(r, "StreamingBeatPipeline");
-    marks_.load_state(r, "StreamingBeatPipeline");
-    icg_count_ = r.u64();
-    consumed_ = r.u64();
-    z_sum_ = r.template value<typename B::acc_t>();
-  }
+    w.end_section();
 
-  template <typename W>
-  void save_beat_body(W& w) const {
+    w.begin_section("BEAT");
     w.boolean(last_r_.has_value());
     if (last_r_.has_value()) w.u64(*last_r_);
     save_pair_ring(w, pending_beats_);
     w.u64(r_peak_count_);
-  }
-  template <typename R>
-  void load_beat_body(R& r) {
-    if (r.boolean()) last_r_ = r.u64();
-    else last_r_.reset();
-    load_pair_ring(r, pending_beats_);
-    r_peak_count_ = r.u64();
-  }
+    w.end_section();
 
-  template <typename W>
-  void save_gaps_body(W& w) const {
+    w.begin_section("GAPS");
     w.f64(prev_ecg_raw_);
     w.f64(prev_z_raw_);
     w.boolean(have_prev_raw_);
@@ -316,21 +325,9 @@ class BeatAssembler {
     w.boolean(ecg_gap_);
     w.boolean(z_gap_);
     save_pair_ring(w, gap_spans_);
-  }
-  template <typename R>
-  void load_gaps_body(R& r) {
-    prev_ecg_raw_ = r.f64();
-    prev_z_raw_ = r.f64();
-    have_prev_raw_ = r.boolean();
-    ecg_flat_run_ = r.u64();
-    z_flat_run_ = r.u64();
-    ecg_gap_ = r.boolean();
-    z_gap_ = r.boolean();
-    load_pair_ring(r, gap_spans_);
-  }
+    w.end_section();
 
-  template <typename W>
-  void save_qsum_body(W& w) const {
+    w.begin_section("QSUM");
     w.u64(summary_.beats);
     w.u64(summary_.usable);
     for (const std::uint64_t c : summary_.flaw_counts) w.u64(c);
@@ -341,9 +338,47 @@ class BeatAssembler {
     w.u64(summary_.snr_beats);
     w.f64(summary_.sum_snr_db);
     w.f64(summary_.min_snr_db);
+    w.end_section();
+
+    w.begin_section("ENSB");
+    w.boolean(ensemble_.has_value());
+    if (ensemble_.has_value()) {
+      ensemble_->save_state(w);
+      ens_pending_.save_state(w);
+    }
+    w.end_section();
   }
+
   template <typename R>
-  void load_qsum_body(R& r) {
+  void load_state(R& r) {
+    r.begin_section("RING");
+    icg_ring_.load_state(r, "StreamingBeatPipeline");
+    z_ring_.load_state(r, "StreamingBeatPipeline");
+    marks_.load_state(r, "StreamingBeatPipeline");
+    icg_count_ = r.u64();
+    consumed_ = r.u64();
+    z_sum_ = r.template value<typename B::acc_t>();
+    r.end_section();
+
+    r.begin_section("BEAT");
+    if (r.boolean()) last_r_ = r.u64();
+    else last_r_.reset();
+    load_pair_ring(r, pending_beats_);
+    r_peak_count_ = r.u64();
+    r.end_section();
+
+    r.begin_section("GAPS");
+    prev_ecg_raw_ = r.f64();
+    prev_z_raw_ = r.f64();
+    have_prev_raw_ = r.boolean();
+    ecg_flat_run_ = r.u64();
+    z_flat_run_ = r.u64();
+    ecg_gap_ = r.boolean();
+    z_gap_ = r.boolean();
+    load_pair_ring(r, gap_spans_);
+    r.end_section();
+
+    r.begin_section("QSUM");
     summary_.beats = r.u64();
     summary_.usable = r.u64();
     for (std::uint64_t& c : summary_.flaw_counts) c = r.u64();
@@ -354,24 +389,16 @@ class BeatAssembler {
     summary_.snr_beats = r.u64();
     summary_.sum_snr_db = r.f64();
     summary_.min_snr_db = r.f64();
-  }
+    r.end_section();
 
-  template <typename W>
-  void save_ensb_body(W& w) const {
-    w.boolean(ensemble_.has_value());
-    if (ensemble_.has_value()) {
-      ensemble_->save_state(w);
-      ens_pending_.save_state(w);
-    }
-  }
-  template <typename R>
-  void load_ensb_body(R& r) {
+    r.begin_section("ENSB");
     if (r.boolean() != ensemble_.has_value())
       r.fail("StreamingBeatPipeline: ensemble-stage layout mismatch");
     if (ensemble_.has_value()) {
       ensemble_->load_state(r);
       ens_pending_.load_state(r, "StreamingBeatPipeline ensemble queue");
     }
+    r.end_section();
   }
 
  private:
@@ -732,15 +759,28 @@ class BeatAssembler {
 /// arithmetic, and converts each completed R-R window of ICG counts back
 /// to Ohm/s once, feeding the same double delineation/quality/
 /// hemodynamics tail as the reference engine.
+///
+/// With dsp::BatchBackend<W> (kLanes = W) the same engine runs W
+/// sessions in lockstep: the stage front ticks once per sample with
+/// LaneVec<W> operands, and each lane owns its own per-session tails (a
+/// BeatAssembler and a QRS decision tail over DoubleBackend), so lane l
+/// emits exactly the BeatRecords a scalar double engine emits for lane
+/// l's stream. core::SessionBatch<W> wraps that instantiation; the
+/// one-session API below (SignalView pushes, capture, checkpoint blobs)
+/// exists only for kLanes == 1.
 template <typename B>
 class BasicStreamingBeatPipeline {
  public:
   using sample_t = typename B::sample_t;
+  /// Sessions advancing in lockstep: 1, or W on dsp::BatchBackend<W>.
+  static constexpr std::size_t kLanes = B::kLanes;
 
-  /// Longest run of samples one push phase handles; see push_into().
+  /// Longest run of samples one push phase handles; see push().
   static constexpr std::size_t kPushBlock = 64;
-  /// Whether push quantizes its input into e_arena_/z_arena_ first.
-  static constexpr bool kInputArenas = B::kFixed;
+  /// Whether push first loads its input into e_arena_/z_arena_ (Q31
+  /// quantization, SoA lane packing); the double engine reads the
+  /// caller's buffers.
+  static constexpr bool kInputArenas = B::kFixed || kLanes > 1;
 
   BasicStreamingBeatPipeline(dsp::SampleRate fs, const PipelineConfig& cfg = {},
                              double window_s = 12.0,
@@ -753,16 +793,18 @@ class BasicStreamingBeatPipeline {
         ecg_stage_(fs, cfg.ecg_filter),
         icg_stage_(fs, cfg.icg_filter, B::kFixed ? scaling.icg_gain_log2 : 0),
         qrs_(fs, cfg.qrs),
-        assembler_(fs, cfg, window_samples_, z_scale_, icg_scale_,
-                   scaling.ecg_fullscale_mv, scaling.z_fullscale_ohm,
-                   icg_stage_.latency()) {
+        assemblers_(dsp::make_lanes<assembler_t, kLanes>(
+            fs, cfg, window_samples_, z_scale_, icg_scale_, scaling.ecg_fullscale_mv,
+            scaling.z_fullscale_ohm, icg_stage_.latency())) {
     ecg_scratch_.reserve(512);
     icg_scratch_.reserve(512);
-    r_scratch_.reserve(64);
+    for (auto& rs : r_scratch_) rs.reserve(64);
   }
 
   /// Feeds one synchronized chunk; returns the beats completed by it.
-  std::vector<BeatRecord> push(dsp::SignalView ecg_mv, dsp::SignalView z_ohm) {
+  std::vector<BeatRecord> push(dsp::SignalView ecg_mv, dsp::SignalView z_ohm)
+    requires(kLanes == 1)
+  {
     std::vector<BeatRecord> emitted;
     push_into(ecg_mv, z_ohm, emitted);
     return emitted;
@@ -772,93 +814,120 @@ class BasicStreamingBeatPipeline {
   /// (which is not cleared). With a caller-reused `out`, a warmed-up
   /// session does zero heap allocation per push — the property the fleet
   /// hot path relies on (verified by the allocation-probe test).
+  void push_into(dsp::SignalView ecg_mv, dsp::SignalView z_ohm, std::vector<BeatRecord>& out)
+    requires(kLanes == 1)
+  {
+    if (ecg_mv.size() != z_ohm.size())
+      ICGKIT_THROW(std::invalid_argument("StreamingBeatPipeline: chunk length mismatch"));
+    const double* e = ecg_mv.data();
+    const double* z = z_ohm.data();
+    push(&e, &z, ecg_mv.size(), &out);
+  }
+
+  /// Advances every lane by `len` samples: ecg_mv/z_ohm point at kLanes
+  /// per-lane arrays of `len` samples, and lane l's completed beats are
+  /// appended to out[l].
   ///
-  /// Two-phase per chunk: the sample-rate fronts (ICG conditioner, ECG
+  /// Two-phase per block: the sample-rate fronts (ICG conditioner, ECG
   /// cleaner, QRS feature chain) each run as one fused flat pass over
-  /// the whole chunk first, then a per-raw-sample replay drives the
-  /// scalar tails (gap machine, decision tail, assembler) in exactly the
+  /// the whole block first -- on the batch backend, the only W-wide
+  /// work -- then a per-raw-sample replay drives each lane's scalar
+  /// tails (gap machine, decision tail, assembler) in exactly the
   /// per-sample ingest order. The fronts depend only on their own raw
   /// inputs — never on tail state (soft_reset touches only the decision
   /// tail's adaptive state) — so splitting the phases is byte-identical
-  /// to interleaving them sample by sample.
+  /// to interleaving them sample by sample. Lanes share no tail state,
+  /// so the replay runs lane-major.
   ///
   /// A chunk longer than kPushBlock samples runs as consecutive blocks of
   /// at most kPushBlock: the output is chunk-size invariant, and every
   /// arena then holds one block, however long the chunks.
-  void push_into(dsp::SignalView ecg_mv, dsp::SignalView z_ohm,
-                 std::vector<BeatRecord>& out) {
-    if (ecg_mv.size() != z_ohm.size())
-      ICGKIT_THROW(std::invalid_argument("StreamingBeatPipeline: chunk length mismatch"));
-    for (std::size_t off = 0; off < ecg_mv.size(); off += kPushBlock) {
-      const std::size_t n = std::min(ecg_mv.size() - off, std::size_t{kPushBlock});
-      push_block(ecg_mv.subspan(off, n), z_ohm.subspan(off, n), out);
-    }
+  void push(const double* const* ecg_mv, const double* const* z_ohm, std::size_t len,
+            std::vector<BeatRecord>* out) {
+    for (std::size_t off = 0; off < len; off += kPushBlock)
+      push_block(ecg_mv, z_ohm, off, std::min(len - off, std::size_t{kPushBlock}), out);
   }
 
   /// Flushes the stage tails and any pending beats (end of recording).
-  std::vector<BeatRecord> finish() {
+  std::vector<BeatRecord> finish() requires(kLanes == 1) {
     std::vector<BeatRecord> emitted;
-    finish_into(emitted);
+    finish(&emitted);
     return emitted;
   }
 
   /// Allocation-free form of finish(): appends to `out`.
-  void finish_into(std::vector<BeatRecord>& emitted) {
+  void finish_into(std::vector<BeatRecord>& out) requires(kLanes == 1) { finish(&out); }
+
+  /// End of stream for every lane: appends lane l's last beats to out[l].
+  void finish(std::vector<BeatRecord>* out) {
     icg_scratch_.clear();
     icg_stage_.finish(icg_scratch_);
-    for (const sample_t v : icg_scratch_) {
-      assembler_.on_icg_sample(v);
-      if (capture_) captured_icg_.push_back(icg_real(v));
-    }
-    assembler_.maybe_drain_ensemble();
-
-    // The cleaner's flushed tail is the QRS front's last chunk, replayed
-    // like any other; then the detector flushes its own front.
     ecg_scratch_.clear();
     ecg_stage_.finish(ecg_scratch_);
-    if (capture_)
-      for (const sample_t v : ecg_scratch_) captured_ecg_.push_back(ecg_real(v));
+    capture_scratch();
+    // The cleaner's flushed tail is the QRS front's last chunk, replayed
+    // like any other; then the detector flushes its own front.
     feat_out_.clear();
     feat_cum_.clear();
     qrs_.front_chunk(ecg_scratch_, feat_out_, feat_cum_);
-    r_scratch_.clear();
-    ecg::replay_decision_tail(qrs_.decision_tail(), ecg_scratch_, 0, ecg_scratch_.size(),
-                              feat_out_, feat_cum_, r_scratch_);
-    qrs_.finish(feat_out_, r_scratch_);
-    for (const std::size_t r : r_scratch_) assembler_.on_r_peak(r);
-    assembler_.drain_ready(emitted);
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      const auto lane = lane_of(l);
+      for (const sample_t v : icg_scratch_) assemblers_[l].on_icg_sample(lane(v));
+      assemblers_[l].maybe_drain_ensemble();
+      r_scratch_[l].clear();
+      ecg::replay_decision_tail(qrs_.decision_tail(l), ecg_scratch_, 0, ecg_scratch_.size(),
+                                feat_out_, feat_cum_, r_scratch_[l], lane);
+    }
+    qrs_.finish(feat_out_, r_scratch_.data());
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      for (const std::size_t r : r_scratch_[l]) assemblers_[l].on_r_peak(r);
+      assemblers_[l].drain_ready(out[l]);
+    }
   }
 
-  /// Pre-sizes every push and finish arena for chunks of up to
-  /// `max_chunk` samples, so that neither push_into() of such chunks nor
-  /// finish_into() allocates from the first chunk on (the arenas
-  /// otherwise grow on first use). The fleet calls it with
-  /// FleetConfig::max_chunk.
-  void reserve_chunk(std::size_t max_chunk) { detail::reserve_push_arenas(*this, max_chunk); }
-
-  [[nodiscard]] std::size_t samples_consumed() const { return assembler_.samples_consumed(); }
-  [[nodiscard]] std::size_t r_peak_count() const { return assembler_.r_peak_count(); }
-  [[nodiscard]] std::size_t window_samples() const { return assembler_.window_samples(); }
+  /// Samples consumed per lane (identical across lanes, by lockstep).
+  [[nodiscard]] std::size_t samples_consumed() const { return assemblers_[0].samples_consumed(); }
+  [[nodiscard]] std::size_t r_peak_count() const requires(kLanes == 1) {
+    return assemblers_[0].r_peak_count();
+  }
+  [[nodiscard]] std::size_t window_samples() const { return window_samples_; }
   /// Running mean of the impedance trace consumed so far.
-  [[nodiscard]] double z_mean_ohm() const { return assembler_.z_mean_ohm(); }
+  [[nodiscard]] double z_mean_ohm() const requires(kLanes == 1) {
+    return assemblers_[0].z_mean_ohm();
+  }
 
   /// Records the aligned filtered ECG/ICG streams (used by the batch
   /// wrapper to fill PipelineResult; off by default to keep streaming
   /// memory bounded). Always captured in real units (mV / Ohm per
   /// second), whatever the backend.
-  void enable_capture() { capture_ = true; }
-  [[nodiscard]] const dsp::Signal& captured_ecg() const { return captured_ecg_; }
-  [[nodiscard]] const dsp::Signal& captured_icg() const { return captured_icg_; }
+  void enable_capture() requires(kLanes == 1) { capture_ = true; }
+  [[nodiscard]] const dsp::Signal& captured_ecg() const requires(kLanes == 1) {
+    return captured_ecg_;
+  }
+  [[nodiscard]] const dsp::Signal& captured_icg() const requires(kLanes == 1) {
+    return captured_icg_;
+  }
 
   /// Running per-session quality aggregate: every emitted beat's verdict
   /// plus the contact gaps detected and the recovery resets performed so
   /// far. The fleet surfaces this through its end-of-session FleetBeat.
-  [[nodiscard]] const QualitySummary& quality_summary() const {
-    return assembler_.quality_summary();
+  [[nodiscard]] const QualitySummary& quality_summary(std::size_t lane = 0) const {
+    return assemblers_[lane].quality_summary();
   }
   /// True while a contact gap (flat run past dropout_reset_s) is open on
   /// either channel.
-  [[nodiscard]] bool in_dropout() const { return assembler_.in_dropout(); }
+  [[nodiscard]] bool in_dropout(std::size_t lane = 0) const {
+    return assemblers_[lane].in_dropout();
+  }
+
+  /// Opt-in front-vs-tail wall-time split of push(), lane engines only:
+  /// while enabled, each push accumulates the lockstep-front phase (input
+  /// packing + fused filter/feature chains) into front_ns() and the
+  /// per-lane replay into tail_ns(). The scalar and firmware engines have
+  /// no such flag and read no clock.
+  void enable_profiling(bool on) requires(kLanes > 1) { profile_.on = on; }
+  [[nodiscard]] std::uint64_t front_ns() const requires(kLanes > 1) { return profile_.front_ns; }
+  [[nodiscard]] std::uint64_t tail_ns() const requires(kLanes > 1) { return profile_.tail_ns; }
 
   // -- checkpoint/restore (core::Checkpoint subsystem) -----------------
   //
@@ -871,6 +940,12 @@ class BasicStreamingBeatPipeline {
   // freshly constructed pipeline with the same configuration, then
   // resuming the stream, emits byte-identical BeatRecords to the
   // uninterrupted run — for both backends.
+  //
+  // A lane engine serializes through a lane adaptor
+  // (core::LaneStateWriter/Reader): the stage sections fan out to every
+  // lane's blob, and each lane's tail sections go to its own blob
+  // through dsp::lane_io(), so every lane blob is exactly the one-session
+  // layout.
 
   /// Serializes the session into `w` as one section per stage group.
   /// Throws CheckpointError when capture is enabled (the unbounded
@@ -898,25 +973,7 @@ class BasicStreamingBeatPipeline {
     qrs_.save_state(w);
     w.end_section();
 
-    w.begin_section("RING");
-    assembler_.save_ring_body(w);
-    w.end_section();
-
-    w.begin_section("BEAT");
-    assembler_.save_beat_body(w);
-    w.end_section();
-
-    w.begin_section("GAPS");
-    assembler_.save_gaps_body(w);
-    w.end_section();
-
-    w.begin_section("QSUM");
-    assembler_.save_qsum_body(w);
-    w.end_section();
-
-    w.begin_section("ENSB");
-    assembler_.save_ensb_body(w);
-    w.end_section();
+    for (std::size_t l = 0; l < kLanes; ++l) assemblers_[l].save_state(dsp::lane_io(w, l));
   }
 
   /// Restores the session from `r`. The target must have been
@@ -946,37 +1003,19 @@ class BasicStreamingBeatPipeline {
     qrs_.load_state(r);
     r.end_section();
 
-    r.begin_section("RING");
-    assembler_.load_ring_body(r);
-    r.end_section();
-
-    r.begin_section("BEAT");
-    assembler_.load_beat_body(r);
-    r.end_section();
-
-    r.begin_section("GAPS");
-    assembler_.load_gaps_body(r);
-    r.end_section();
-
-    r.begin_section("QSUM");
-    assembler_.load_qsum_body(r);
-    r.end_section();
-
-    r.begin_section("ENSB");
-    assembler_.load_ensb_body(r);
-    r.end_section();
+    for (std::size_t l = 0; l < kLanes; ++l) assemblers_[l].load_state(dsp::lane_io(r, l));
   }
 
   /// Serializes the session into `blob` (replaced; its capacity is
   /// reused, so a warmed-up migration path does not allocate).
-  void checkpoint_into(std::vector<std::uint8_t>& blob) const {
+  void checkpoint_into(std::vector<std::uint8_t>& blob) const requires(kLanes == 1) {
     StateWriter w(std::move(blob));
     save_state(w);
     blob = w.take();
   }
 
   /// The session as a self-contained blob.
-  [[nodiscard]] std::vector<std::uint8_t> checkpoint() const {
+  [[nodiscard]] std::vector<std::uint8_t> checkpoint() const requires(kLanes == 1) {
     std::vector<std::uint8_t> blob;
     checkpoint_into(blob);
     return blob;
@@ -989,8 +1028,9 @@ class BasicStreamingBeatPipeline {
   /// before restore() so a corrupt or mismatched blob is refused with an
   /// error code even in the no-exceptions firmware profile, where
   /// restore() itself can only panic.
-  [[nodiscard]] bool restore_compatible(
-      std::span<const std::uint8_t> blob) const noexcept {
+  [[nodiscard]] bool restore_compatible(std::span<const std::uint8_t> blob) const noexcept
+    requires(kLanes == 1)
+  {
     const CheckpointProbe p = probe_checkpoint(blob);
     return p.valid && p.backend_fixed == B::kFixed && p.fs == fs_ &&
            p.window_samples == window_samples_ &&
@@ -1000,7 +1040,7 @@ class BasicStreamingBeatPipeline {
   /// Restores a checkpoint() blob into this pipeline (same-configuration
   /// target; see load_state). Throws CheckpointError on any corruption,
   /// truncation, version or configuration mismatch.
-  void restore(std::span<const std::uint8_t> blob) {
+  void restore(std::span<const std::uint8_t> blob) requires(kLanes == 1) {
     StateReader r(blob);
     load_state(r);
     if (!r.at_end())
@@ -1008,29 +1048,32 @@ class BasicStreamingBeatPipeline {
   }
 
  private:
+  using assembler_t = BeatAssembler<dsp::lane_backend_t<B>>;
+
   template <typename E>
   friend void detail::reserve_push_arenas(E&, std::size_t);
 
-  /// push_into() for one block of at most kPushBlock samples.
-  void push_block(dsp::SignalView ecg_mv, dsp::SignalView z_ohm,
-                  std::vector<BeatRecord>& out) {
-    const std::size_t n = ecg_mv.size();
-    // Phase 1: fused fronts over the whole block. Under Q31 the raw
-    // doubles are quantized exactly once per sample into the input
-    // arenas; the double backend feeds the caller's buffers directly.
+  /// push() for one block: samples [off, off + n) of every lane.
+  void push_block(const double* const* ecg_mv, const double* const* z_ohm, std::size_t off,
+                  std::size_t n, std::vector<BeatRecord>* out) {
+    [[maybe_unused]] const std::uint64_t t0 = profile_.now();
+    // Phase 1: fused fronts over the whole block. The Q31 engine
+    // quantizes each raw double exactly once and the lane engine packs
+    // the W streams into lane vectors, both into the input arenas; the
+    // double engine feeds the caller's buffer directly.
     std::span<const sample_t> e, z;
-    if constexpr (B::kFixed) {
+    if constexpr (kInputArenas) {
       e_arena_.clear();
       z_arena_.clear();
-      for (std::size_t i = 0; i < n; ++i) {
-        e_arena_.push_back(ecg_from(ecg_mv[i]));
-        z_arena_.push_back(z_from(z_ohm[i]));
+      for (std::size_t i = off; i < off + n; ++i) {
+        e_arena_.push_back(load_input(ecg_mv, i, ecg_scale_));
+        z_arena_.push_back(load_input(z_ohm, i, z_scale_));
       }
       e = e_arena_;
       z = z_arena_;
     } else {
-      e = std::span<const sample_t>(ecg_mv.data(), n);
-      z = std::span<const sample_t>(z_ohm.data(), n);
+      e = std::span<const sample_t>(ecg_mv[0] + off, n);
+      z = std::span<const sample_t>(z_ohm[0] + off, n);
     }
     icg_scratch_.clear();
     icg_cum_.clear();
@@ -1038,80 +1081,113 @@ class BasicStreamingBeatPipeline {
     ecg_scratch_.clear();
     ecg_cum_.clear();
     ecg_stage_.process_chunk(e, ecg_scratch_, ecg_cum_);
+    capture_scratch();
     feat_out_.clear();
     feat_cum_.clear();
     qrs_.front_chunk(ecg_scratch_, feat_out_, feat_cum_);
+    [[maybe_unused]] const std::uint64_t t1 = profile_.now();
 
-    // Phase 2: per-raw-sample replay of the scalar tails, consuming each
-    // front's per-input output range [cum[i-1], cum[i]).
-    auto& tail = qrs_.decision_tail();
-    std::uint32_t icg_lo = 0, ecg_lo = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      assembler_.on_raw_sample(ecg_mv[i], z_ohm[i], z[i],
-                               [this] { qrs_.soft_reset(); });
-      for (std::uint32_t k = icg_lo; k < icg_cum_[i]; ++k) {
-        assembler_.on_icg_sample(icg_scratch_[k]);
-        if (capture_) captured_icg_.push_back(icg_real(icg_scratch_[k]));
+    // Phase 2: per-raw-sample replay of each lane's scalar tails,
+    // consuming each front's per-input output range [cum[i-1], cum[i]).
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      const auto lane = lane_of(l);
+      const double* raw_e = ecg_mv[l] + off;
+      const double* raw_z = z_ohm[l] + off;
+      assembler_t& a = assemblers_[l];
+      auto& tail = qrs_.decision_tail(l);
+      std::vector<std::size_t>& rs = r_scratch_[l];
+      std::uint32_t icg_lo = 0, ecg_lo = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        a.on_raw_sample(raw_e[i], raw_z[i], lane(z[i]), [&tail] { tail.soft_reset(); });
+        for (std::uint32_t k = icg_lo; k < icg_cum_[i]; ++k) a.on_icg_sample(lane(icg_scratch_[k]));
+        icg_lo = icg_cum_[i];
+        a.maybe_drain_ensemble();
+
+        rs.clear();
+        ecg::replay_decision_tail(tail, ecg_scratch_, ecg_lo, ecg_cum_[i], feat_out_, feat_cum_,
+                                  rs, lane);
+        ecg_lo = ecg_cum_[i];
+        for (const std::size_t r : rs) a.on_r_peak(r);
+        // Emit every beat whose aligned ICG is now complete -- done per
+        // sample so the emission point (and thus the ring-buffer state it
+        // reads) is identical however the input was chunked.
+        a.drain_ready(out[l]);
       }
-      icg_lo = icg_cum_[i];
-      assembler_.maybe_drain_ensemble();
+    }
 
-      const std::uint32_t ecg_hi = ecg_cum_[i];
-      if (capture_)
-        for (std::uint32_t k = ecg_lo; k < ecg_hi; ++k)
-          captured_ecg_.push_back(ecg_real(ecg_scratch_[k]));
-      r_scratch_.clear();
-      ecg::replay_decision_tail(tail, ecg_scratch_, ecg_lo, ecg_hi, feat_out_, feat_cum_,
-                                r_scratch_);
-      ecg_lo = ecg_hi;
-      for (const std::size_t r : r_scratch_) assembler_.on_r_peak(r);
-      // Emit every beat whose aligned ICG is now complete -- done per
-      // sample so the emission point (and thus the ring-buffer state it
-      // reads) is identical however the input was chunked.
-      assembler_.drain_ready(out);
+    if constexpr (kLanes > 1) {
+      if (profile_.on) {
+        profile_.front_ns += t1 - t0;
+        profile_.tail_ns += profile_.now() - t1;
+      }
     }
   }
 
-  // Boundary conversions. The double backend's scales are fixed at 1 and
-  // the conversions collapse to identity, so the reference engine's
-  // arithmetic is untouched by the backend abstraction.
-  [[nodiscard]] sample_t ecg_from(double v) const {
-    if constexpr (B::kFixed) return B::from_real(v / ecg_scale_);
-    else return v;
+  /// Projection of a front sample onto lane l's tail (the identity on
+  /// one-lane backends).
+  static auto lane_of(std::size_t l) {
+    return [l](const sample_t& v) { return dsp::lane_value(v, l); };
   }
-  [[nodiscard]] sample_t z_from(double v) const {
-    if constexpr (B::kFixed) return B::from_real(v / z_scale_);
-    else return v;
+
+  /// Sample i of every lane's input in the backend's sample domain: the
+  /// double as is, quantized against `scale` under Q31, or one lane
+  /// vector across the W streams.
+  [[nodiscard]] static sample_t load_input(const double* const* x, std::size_t i,
+                                           double scale) {
+    if constexpr (kLanes > 1) {
+      sample_t v{};
+      for (std::size_t l = 0; l < kLanes; ++l) v.set_lane(l, x[l][i]);
+      return v;
+    } else if constexpr (B::kFixed) {
+      return B::from_real(x[0][i] / scale);
+    } else {
+      return x[0][i];
+    }
   }
-  [[nodiscard]] double ecg_real(sample_t v) const {
-    if constexpr (B::kFixed) return B::to_real(v) * ecg_scale_;
-    else return v;
+
+  /// Appends the conditioned ECG/ICG just produced into the scratch
+  /// arenas to the capture buffers, in real units (one-session engines
+  /// with capture enabled only).
+  void capture_scratch() {
+    if constexpr (kLanes == 1) {
+      if (!capture_) return;
+      append_real(captured_ecg_, ecg_scratch_, ecg_scale_);
+      append_real(captured_icg_, icg_scratch_, icg_scale_);
+    }
   }
-  [[nodiscard]] double icg_real(sample_t v) const {
-    if constexpr (B::kFixed) return B::to_real(v) * icg_scale_;
-    else return v;
+  static void append_real(dsp::Signal& to, const std::vector<sample_t>& from, double scale)
+    requires(kLanes == 1)
+  {
+    for (const sample_t v : from) {
+      if constexpr (B::kFixed) to.push_back(B::to_real(v) * scale);
+      else to.push_back(v);
+    }
   }
 
   dsp::SampleRate fs_;
   PipelineConfig cfg_;
   std::size_t window_samples_;
-  double ecg_scale_, z_scale_, icg_scale_; ///< per-stage Q31 full scales (1 for double)
+  double ecg_scale_, z_scale_, icg_scale_; ///< per-stage Q31 full scales (1 otherwise)
 
   BasicEcgCleanerStage<B> ecg_stage_;
   BasicIcgConditionerStage<B> icg_stage_;
   ecg::BasicOnlinePanTompkins<B> qrs_;
-  BeatAssembler<B> assembler_;
+  std::array<assembler_t, kLanes> assemblers_; ///< one per lane
 
   bool capture_ = false;
   dsp::Signal captured_ecg_, captured_icg_;
   std::vector<sample_t> ecg_scratch_, icg_scratch_;
-  std::vector<std::size_t> r_scratch_;
-  // Two-phase push arenas: quantized input copies (Q31 backend only),
-  // the QRS front's feature stream, and the per-input cumulative-output
+  std::array<std::vector<std::size_t>, kLanes> r_scratch_;
+  // Two-phase push arenas: loaded input copies (see kInputArenas), the
+  // QRS front's feature stream, and the per-input cumulative-output
   // counts of each front. All reused across chunks.
   std::vector<sample_t> e_arena_, z_arena_;
   std::vector<sample_t> feat_out_;
   std::vector<std::uint32_t> icg_cum_, ecg_cum_, feat_cum_;
+
+  /// The push() profiler: lane engines only (see enable_profiling()).
+  [[no_unique_address]] std::conditional_t<(kLanes > 1), detail::PushProfile,
+                                           detail::NoProfile> profile_;
 };
 
 /// The double-precision reference engine.

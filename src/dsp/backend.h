@@ -33,10 +33,13 @@
 #include "dsp/simd.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 
 #include "support/contract.h"
 
@@ -323,6 +326,46 @@ ICGKIT_LANES_END
 /// True for backends whose sample_t carries multiple lockstep lanes.
 template <typename B>
 inline constexpr bool is_batch_backend_v = (B::kLanes > 1);
+
+/// The backend one lane's per-session tail runs on: B itself, or
+/// DoubleBackend under the batch backend (every lane is a double session).
+template <typename B>
+using lane_backend_t = std::conditional_t<is_batch_backend_v<B>, DoubleBackend, B>;
+
+/// Lane l of a backend sample; a one-lane backend's sample is its own lane.
+template <typename S>
+auto lane_value(const S& v, std::size_t l) {
+  if constexpr (requires { v.lane(l); }) {
+    return v.lane(l);
+  } else {
+    (void)l;
+    return v;
+  }
+}
+
+/// Lane l's plain checkpoint writer/reader: the one behind a lane adaptor
+/// (core::LaneStateWriter/Reader), or `io` itself when it serializes one
+/// session. Per-lane state written through it keeps the one-session layout.
+template <typename IO>
+decltype(auto) lane_io(IO& io, std::size_t l) {
+  if constexpr (requires { io.lane_writer(l); }) {
+    return io.lane_writer(l);
+  } else if constexpr (requires { io.lane_reader(l); }) {
+    return io.lane_reader(l);
+  } else {
+    (void)l;
+    return (io);
+  }
+}
+
+/// N per-lane values of a type without a default constructor, each
+/// constructed in place from `args`.
+template <typename T, std::size_t N, typename... Args>
+std::array<T, N> make_lanes(const Args&... args) {
+  return [&]<std::size_t... I>(std::index_sequence<I...>) {
+    return std::array<T, N>{((void)I, T(args...))...};
+  }(std::make_index_sequence<N>{});
+}
 
 /// Per-stage Q-format scaling of the fixed beat pipeline: what one unit
 /// of Q1.31 full scale means at each boundary, and the power-of-two gain

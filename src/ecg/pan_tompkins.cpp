@@ -60,7 +60,7 @@ QrsDetection PanTompkins::detect(dsp::SignalView ecg) const {
   online.front_chunk(ecg, feat, cum);
   replay_decision_tail(online.decision_tail(), ecg, 0, ecg.size(), feat, cum,
                        det.r_samples);
-  online.finish(feat, det.r_samples);
+  online.finish(feat, &det.r_samples);
 
   for (std::size_t i = 1; i < det.r_samples.size(); ++i)
     det.rr_intervals_s.push_back(

@@ -19,12 +19,12 @@
 //   decision tail   QrsDecisionTail: thresholds, candidate merging,
 //                   T-wave discrimination, search-back, refinement --
 //                   data-dependent branching that diverges per session,
-//                   so the batch detector fans out into W scalar tails.
+//                   so on the batch backend it fans out into W scalar tails.
 //
-// BasicOnlinePanTompkins is one front plus one tail;
-// BatchOnlinePanTompkins is the front over BatchBackend<W> plus W tails.
-// Both are fed the same way: front_chunk() over a chunk, then
-// replay_decision_tail() per tail, then finish() at end of stream.
+// BasicOnlinePanTompkins<B> is one front plus one tail per lane: one
+// tail on the scalar backends, W on BatchBackend<W>. It is fed one way:
+// front_chunk() over a chunk, then replay_decision_tail() per tail, then
+// finish() at end of stream.
 #pragma once
 
 #include "dsp/backend.h"
@@ -34,6 +34,7 @@
 #include "dsp/types.h"
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -69,8 +70,8 @@ dsp::FirCoefficients pan_tompkins_bandpass_kernel(dsp::SampleRate fs,
 
 /// The decision half of the online detector: everything downstream of
 /// the integrated (MWI) feature stream, plus the raw-input history used
-/// for refinement. One instance per session; the batch detector owns W
-/// of these and feeds lane i's feature samples into tail i.
+/// for refinement. One instance per session; a detector on
+/// BatchBackend<W> owns W of these and feeds lane i's features to tail i.
 ///
 /// All adaptive state -- signal/noise thresholds (SPKI/NPKI), the RR
 /// history driving search-back, the pending MWI candidate, and the
@@ -609,7 +610,7 @@ class QrsFeatureFront {
 /// note_input(ecg[k]), then on_feature_sample over k's feature range
 /// [cum[k-1], cum[k]) (cum[-1] = 0). `lane` maps the front's sample type
 /// to the tail's: the identity for a scalar detector, one lane of the
-/// vector for the batch detector. Appends confirmed R peaks to `out`.
+/// vector on the batch backend. Appends confirmed R peaks to `out`.
 template <typename Tail, typename Ecg, typename Feat, typename Lane = std::identity>
 void replay_decision_tail(Tail& tail, const Ecg& ecg, std::size_t lo, std::size_t hi,
                           const Feat& feat, const std::vector<std::uint32_t>& cum,
@@ -622,16 +623,27 @@ void replay_decision_tail(Tail& tail, const Ecg& ecg, std::size_t lo, std::size_
 }
 
 /// Online Pan-Tompkins detector, generic over the numeric backend
-/// (dsp/backend.h): one QrsFeatureFront composed with one
-/// QrsDecisionTail. An MWI candidate is final once the next MWI local
-/// maximum at least half a refractory later has been observed (or the
-/// stream ends), so confirmation latency is data-driven.
+/// (dsp/backend.h): one QrsFeatureFront composed with one QrsDecisionTail
+/// per lane. An MWI candidate is final once the next MWI local maximum at
+/// least half a refractory later has been observed (or the stream ends),
+/// so confirmation latency is data-driven.
 ///
 /// Feed path: front_chunk() runs the feature front over a chunk, then
 /// the caller replays its outputs through decision_tail() with
 /// replay_decision_tail() — the pipeline interleaves that replay with
 /// its other per-sample tails. finish() flushes the front and settles
-/// the tail.
+/// the tails.
+///
+/// On the batch backend (B::kLanes = W) the front ticks W sessions in
+/// lockstep and its feature stream fans out into W scalar
+/// QrsDecisionTail<DoubleBackend> instances -- the exact code the scalar
+/// detector runs, so lane l's peaks are byte-identical to a scalar
+/// detector fed lane l's samples. The front has no data-dependent
+/// branches, so a lane in a dropout gap keeps streaming like the others;
+/// a contact-gap recovery soft-resets that lane's tail only
+/// (QrsDecisionTail::soft_reset). Checkpoints write each tail through
+/// dsp::lane_io(), i.e. into its own lane's blob, so every lane keeps
+/// the scalar detector's wire layout.
 ///
 /// Under Q31Backend the SPKI/NPKI thresholds and the slopes they gate on
 /// are Q1.31 integers too; the power-of-two threshold weights of the
@@ -642,169 +654,79 @@ template <typename B>
 class BasicOnlinePanTompkins {
  public:
   using sample_t = typename B::sample_t;
+  static constexpr std::size_t kLanes = B::kLanes;
+  using tail_t = QrsDecisionTail<dsp::lane_backend_t<B>>;
 
   explicit BasicOnlinePanTompkins(dsp::SampleRate fs, const PanTompkinsConfig& cfg = {})
-      : front_(fs, cfg), tail_(fs, cfg) {}
+      : front_(fs, cfg), tails_(dsp::make_lanes<tail_t, kLanes>(fs, cfg)) {}
 
   /// The feature front over one chunk (see QrsFeatureFront::process_chunk).
-  /// The decision tail is NOT driven and note_input() is NOT called; the
+  /// The decision tails are NOT driven and note_input() is NOT called; the
   /// caller replays the features with replay_decision_tail().
   void front_chunk(std::span<const sample_t> x, std::vector<sample_t>& feat,
                    std::vector<std::uint32_t>& cum) {
     front_.process_chunk(x, feat, cum);
   }
 
-  /// The decision half, for callers driving the front via front_chunk().
-  [[nodiscard]] QrsDecisionTail<B>& decision_tail() { return tail_; }
+  /// Lane `lane`'s decision half, for callers driving front_chunk().
+  [[nodiscard]] tail_t& decision_tail(std::size_t lane = 0) { return tails_[lane]; }
 
-  /// Pre-sizes the front's arenas (see QrsFeatureFront::reserve) and the
-  /// tail's candidate lists.
+  /// Pre-sizes the front's arenas (see QrsFeatureFront::reserve) and
+  /// every tail's candidate lists.
   void reserve(std::size_t max_chunk) {
     front_.reserve(max_chunk);
-    tail_.reserve();
+    for (tail_t& tail : tails_) tail.reserve();
   }
   [[nodiscard]] std::size_t max_finish_outputs() const {
     return front_.max_finish_outputs();
   }
 
   /// End of stream (after the last chunk's replay): flushes the front
-  /// into `feat` (appended; any arena), runs the tail over the flushed
-  /// features, then settles learning and the pending candidate.
-  void finish(std::vector<sample_t>& feat, std::vector<std::size_t>& out) {
+  /// into `feat` (appended; any arena), runs each lane's tail over the
+  /// flushed features, then settles its learning and pending candidate.
+  /// Lane l's peaks are appended to out[l]; `out` points at kLanes vectors.
+  void finish(std::vector<sample_t>& feat, std::vector<std::size_t>* out) {
     const std::size_t lo = feat.size();
     front_.finish(feat);
-    for (std::size_t f = lo; f < feat.size(); ++f) tail_.on_feature_sample(feat[f], out);
-    tail_.settle(out);
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      for (std::size_t f = lo; f < feat.size(); ++f)
+        tails_[l].on_feature_sample(dsp::lane_value(feat[f], l), out[l]);
+      tails_[l].settle(out[l]);
+    }
   }
-
-  /// Quality-adaptive recovery hook (contact-gap resets): see
-  /// QrsDecisionTail::soft_reset. Filter state and sample counters are
-  /// kept; only the adaptive decision state restarts.
-  void soft_reset() { tail_.soft_reset(); }
 
   void reset() {
     front_.reset();
-    tail_.reset();
+    for (tail_t& tail : tails_) tail.reset();
   }
 
-  [[nodiscard]] std::size_t samples_consumed() const { return tail_.samples_consumed(); }
-  [[nodiscard]] std::size_t peaks_emitted() const { return tail_.peaks_emitted(); }
+  [[nodiscard]] std::size_t samples_consumed() const { return tails_[0].samples_consumed(); }
+  [[nodiscard]] std::size_t peaks_emitted(std::size_t lane = 0) const {
+    return tails_[lane].peaks_emitted();
+  }
 
   /// Serializes the full carried detector state — the feature front,
-  /// then the decision tail — for core::Checkpoint round trips. A
+  /// then the decision tail(s) — for core::Checkpoint round trips. A
   /// restored detector continues the stream bit-identically to one that
   /// was never interrupted.
   template <typename W>
   void save_state(W& w) const {
     front_.save_state(w);
-    tail_.save_state(w);
+    for (std::size_t l = 0; l < kLanes; ++l) tails_[l].save_state(dsp::lane_io(w, l));
   }
 
   template <typename R>
   void load_state(R& r) {
     front_.load_state(r);
-    tail_.load_state(r);
+    for (std::size_t l = 0; l < kLanes; ++l) tails_[l].load_state(dsp::lane_io(r, l));
   }
 
  private:
   QrsFeatureFront<B> front_;
-  QrsDecisionTail<B> tail_;
+  std::array<tail_t, kLanes> tails_;
 };
 
 using OnlinePanTompkins = BasicOnlinePanTompkins<dsp::DoubleBackend>;
-
-ICGKIT_LANES_BEGIN
-/// Lockstep W-session Pan-Tompkins: the QrsFeatureFront runs once on the
-/// SIMD batch backend, then the integrated feature stream fans out into
-/// W scalar QrsDecisionTail<DoubleBackend> instances -- the exact code
-/// the scalar detector runs, so lane i's emitted peaks are
-/// byte-identical to a scalar detector fed lane i's samples.
-///
-/// Divergence handling: the front has no data-dependent branches, so a
-/// lane inside a dropout gap or awaiting a soft reset simply keeps
-/// streaming its samples; only its own tail's decisions diverge
-/// (soft_reset_lane targets one tail without disturbing the others).
-///
-/// Checkpointing is per-lane through the lane adaptors
-/// (core::LaneStateWriter/Reader): the front's lane-uniform state is
-/// written to all W per-session blobs with lane i's values, and each
-/// tail writes lane i's blob alone -- producing exactly the scalar
-/// detector's wire layout per session.
-template <std::size_t W>
-class BatchOnlinePanTompkins {
- public:
-  using backend_t = dsp::BatchBackend<W>;
-  using sample_t = typename backend_t::sample_t;
-  static constexpr std::size_t kLanes = W;
-
-  explicit BatchOnlinePanTompkins(dsp::SampleRate fs, const PanTompkinsConfig& cfg = {})
-      : front_(fs, cfg) {
-    tails_.reserve(W);
-    for (std::size_t l = 0; l < W; ++l) tails_.emplace_back(fs, cfg);
-  }
-
-  /// The feature front over one chunk, all W lanes in lockstep; `feat`
-  /// receives the lane-vector feature samples. The caller replays lane
-  /// l's features through decision_tail(l) with replay_decision_tail()
-  /// and a lane projection.
-  void front_chunk(std::span<const sample_t> x, std::vector<sample_t>& feat,
-                   std::vector<std::uint32_t>& cum) {
-    front_.process_chunk(x, feat, cum);
-  }
-
-  /// Lane l's decision tail, for callers driving front_chunk().
-  [[nodiscard]] QrsDecisionTail<dsp::DoubleBackend>& decision_tail(std::size_t lane) {
-    return tails_[lane];
-  }
-
-  /// Pre-sizes the front's arenas (see QrsFeatureFront::reserve) and
-  /// every lane tail's candidate lists.
-  void reserve(std::size_t max_chunk) {
-    front_.reserve(max_chunk);
-    for (auto& tail : tails_) tail.reserve();
-  }
-  [[nodiscard]] std::size_t max_finish_outputs() const {
-    return front_.max_finish_outputs();
-  }
-
-  /// End of stream for all lanes in lockstep: flushes the front into
-  /// `feat` (appended), runs each lane's tail over the flushed features
-  /// and settles it, appending lane l's peaks to out[l]. `out` must
-  /// point at W vectors.
-  void finish(std::vector<sample_t>& feat, std::vector<std::size_t>* out) {
-    const std::size_t lo = feat.size();
-    front_.finish(feat);
-    for (std::size_t l = 0; l < W; ++l) {
-      for (std::size_t f = lo; f < feat.size(); ++f)
-        tails_[l].on_feature_sample(feat[f].lane(l), out[l]);
-      tails_[l].settle(out[l]);
-    }
-  }
-
-  /// Contact-gap recovery for one lane (see QrsDecisionTail::soft_reset);
-  /// the shared feature front is untouched, so the other lanes are not
-  /// perturbed.
-  void soft_reset_lane(std::size_t lane) { tails_[lane].soft_reset(); }
-
-  /// Lane-adaptor serialization (see class comment). The resulting
-  /// per-session byte streams are exactly the scalar detector layout.
-  template <typename LW>
-  void save_state(LW& w) const {
-    front_.save_state(w);
-    for (std::size_t l = 0; l < W; ++l) tails_[l].save_state(w.lane_writer(l));
-  }
-
-  template <typename LR>
-  void load_state(LR& r) {
-    front_.load_state(r);
-    for (std::size_t l = 0; l < W; ++l) tails_[l].load_state(r.lane_reader(l));
-  }
-
- private:
-  QrsFeatureFront<backend_t> front_;
-  std::vector<QrsDecisionTail<dsp::DoubleBackend>> tails_; ///< one per lane
-};
-ICGKIT_LANES_END
 
 class PanTompkins {
  public:

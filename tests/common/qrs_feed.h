@@ -30,7 +30,7 @@ std::vector<std::size_t> detect_chunked(ecg::BasicOnlinePanTompkins<B>& det,
     ecg::replay_decision_tail(det.decision_tail(), part, 0, part.size(), feat, cum, peaks);
   }
   feat.clear();
-  det.finish(feat, peaks);
+  det.finish(feat, &peaks);
   return peaks;
 }
 

@@ -201,8 +201,10 @@ TEST(SessionBatchTest, DivergentDropoutGapsPerLaneStayIdentical) {
 
 TEST(SessionBatchTest, PackedCheckpointRestoresIntoScalarSessions) {
   // Mid-stream round trip: scalar sessions -> pack -> batched advance ->
-  // unpack -> scalar sessions resume. Every lane must finish with the
-  // beat stream and quality aggregate of an uninterrupted scalar run.
+  // unpack -> scalar sessions resume, on every lane target the host runs.
+  // Each unpacked lane blob must be byte for byte the checkpoint of a
+  // scalar session fed the same stream, and every lane must finish with
+  // the beat stream and quality aggregate of an uninterrupted scalar run.
   constexpr std::size_t W = 4;
   PipelineConfig cfg;
   cfg.enable_ensemble = true;  // exercises the ENSB body per lane
@@ -216,51 +218,68 @@ TEST(SessionBatchTest, PackedCheckpointRestoresIntoScalarSessions) {
   const std::size_t cut_a = n / 3;      // scalar until here
   const std::size_t cut_b = 2 * n / 3;  // batched until here, scalar after
 
-  // Phase 1: independent scalar sessions.
-  std::vector<std::unique_ptr<StreamingBeatPipeline>> engines;
-  std::array<std::vector<BeatRecord>, W> beats;
-  std::vector<std::vector<std::uint8_t>> blobs(W);
+  // Phase 1: independent scalar sessions, checkpointed at cut_a for the
+  // batch and run on to cut_b for the reference blobs.
+  std::array<std::vector<BeatRecord>, W> head;
+  std::vector<std::vector<std::uint8_t>> packed(W), reference(W);
   for (std::size_t l = 0; l < W; ++l) {
-    engines.push_back(std::make_unique<StreamingBeatPipeline>(kFs, cfg));
-    engines[l]->push_into(dsp::SignalView(recs[l].ecg_mv.data(), cut_a),
-                          dsp::SignalView(recs[l].z_ohm.data(), cut_a), beats[l]);
-    engines[l]->checkpoint_into(blobs[l]);
-  }
-
-  // Phase 2: pack into a batch and advance in lockstep.
-  SessionBatch<W> batch(kFs, cfg);
-  batch.pack(blobs);
-  EXPECT_EQ(batch.samples_consumed(), cut_a);
-  std::array<const double*, W> ecg{}, z{};
-  for (std::size_t i = cut_a; i < cut_b; i += 64) {
-    const std::size_t len = std::min<std::size_t>(64, cut_b - i);
-    for (std::size_t l = 0; l < W; ++l) {
-      ecg[l] = recs[l].ecg_mv.data() + i;
-      z[l] = recs[l].z_ohm.data() + i;
-    }
-    batch.push(ecg.data(), z.data(), len, beats.data());
-  }
-
-  // Phase 3: unpack back into fresh scalar sessions and run to the end.
-  batch.unpack(blobs);
-  for (std::size_t l = 0; l < W; ++l) {
-    auto resumed = std::make_unique<StreamingBeatPipeline>(kFs, cfg);
-    resumed->restore(blobs[l]);
-    resumed->push_into(dsp::SignalView(recs[l].ecg_mv.data() + cut_b, n - cut_b),
-                       dsp::SignalView(recs[l].z_ohm.data() + cut_b, n - cut_b),
-                       beats[l]);
-    resumed->finish_into(beats[l]);
-
-    ASSERT_EQ(beats[l].size(), expected[l].size()) << "lane " << l;
-    for (std::size_t i = 0; i < beats[l].size(); ++i)
-      expect_identical_beat(beats[l][i], expected[l][i], l, i);
-
-    StreamingBeatPipeline reference(kFs, cfg);
+    StreamingBeatPipeline engine(kFs, cfg);
+    engine.push_into(dsp::SignalView(recs[l].ecg_mv.data(), cut_a),
+                     dsp::SignalView(recs[l].z_ohm.data(), cut_a), head[l]);
+    engine.checkpoint_into(packed[l]);
     std::vector<BeatRecord> sink;
-    reference.push_into(recs[l].ecg_mv, recs[l].z_ohm, sink);
-    reference.finish_into(sink);
-    expect_identical_summary(resumed->quality_summary(), reference.quality_summary(), l);
+    engine.push_into(dsp::SignalView(recs[l].ecg_mv.data() + cut_a, cut_b - cut_a),
+                     dsp::SignalView(recs[l].z_ohm.data() + cut_a, cut_b - cut_a), sink);
+    engine.checkpoint_into(reference[l]);
   }
+
+  std::size_t targets_run = 0;
+  for (const dsp::LaneTarget target :
+       {dsp::LaneTarget::Build, dsp::LaneTarget::X86_64_V3, dsp::LaneTarget::X86_64_V4}) {
+    if (target > dsp::lane_target()) continue;
+    ++targets_run;
+    const auto tag = [&] { return ::testing::Message() << "target " << static_cast<int>(target); };
+
+    // Phase 2: pack into a batch and advance in lockstep.
+    const auto batch = make_session_batch_on(target, W, kFs, cfg);
+    batch->pack(packed);
+    EXPECT_EQ(batch->samples_consumed(), cut_a) << tag();
+    std::array<std::vector<BeatRecord>, W> beats = head;
+    std::array<const double*, W> ecg{}, z{};
+    for (std::size_t i = cut_a; i < cut_b; i += 64) {
+      const std::size_t len = std::min<std::size_t>(64, cut_b - i);
+      for (std::size_t l = 0; l < W; ++l) {
+        ecg[l] = recs[l].ecg_mv.data() + i;
+        z[l] = recs[l].z_ohm.data() + i;
+      }
+      batch->push(ecg.data(), z.data(), len, beats.data());
+    }
+
+    // Phase 3: unpack back into fresh scalar sessions and run to the end.
+    std::vector<std::vector<std::uint8_t>> blobs;
+    batch->unpack(blobs);
+    ASSERT_EQ(blobs.size(), W) << tag();
+    for (std::size_t l = 0; l < W; ++l) {
+      EXPECT_EQ(blobs[l], reference[l]) << tag() << " lane " << l;
+      auto resumed = std::make_unique<StreamingBeatPipeline>(kFs, cfg);
+      resumed->restore(blobs[l]);
+      resumed->push_into(dsp::SignalView(recs[l].ecg_mv.data() + cut_b, n - cut_b),
+                         dsp::SignalView(recs[l].z_ohm.data() + cut_b, n - cut_b),
+                         beats[l]);
+      resumed->finish_into(beats[l]);
+
+      ASSERT_EQ(beats[l].size(), expected[l].size()) << tag() << " lane " << l;
+      for (std::size_t i = 0; i < beats[l].size(); ++i)
+        expect_identical_beat(beats[l][i], expected[l][i], l, i);
+
+      StreamingBeatPipeline reference_run(kFs, cfg);
+      std::vector<BeatRecord> sink;
+      reference_run.push_into(recs[l].ecg_mv, recs[l].z_ohm, sink);
+      reference_run.finish_into(sink);
+      expect_identical_summary(resumed->quality_summary(), reference_run.quality_summary(), l);
+    }
+  }
+  EXPECT_GE(targets_run, 1u);
 }
 
 TEST(SessionBatchTest, PackRejectsMisalignedLanes) {

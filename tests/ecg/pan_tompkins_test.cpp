@@ -204,7 +204,8 @@ INSTANTIATE_TEST_SUITE_P(NoiseLevels, PanTompkinsNoiseSweep,
 // included, must equal a scalar detector fed lane l alone.
 TEST(BatchOnlinePanTompkinsTest, LanePeaksEqualScalarDetector) {
   constexpr std::size_t kW = 4;
-  using Lanes = BatchOnlinePanTompkins<kW>::sample_t;
+  using Batch = BasicOnlinePanTompkins<dsp::BatchBackend<kW>>;
+  using Lanes = Batch::sample_t;
   synth::RecordingConfig rcfg;
   rcfg.duration_s = 20.0;
   rcfg.session_seed = 5;
@@ -216,7 +217,7 @@ TEST(BatchOnlinePanTompkinsTest, LanePeaksEqualScalarDetector) {
   const std::span<const Lanes> xs(x);
 
   for (const std::size_t chunk : {std::size_t{1}, std::size_t{64}, n}) {
-    BatchOnlinePanTompkins<kW> batch(kFs);
+    Batch batch(kFs);
     std::array<std::vector<std::size_t>, kW> peaks;
     std::vector<Lanes> feat;
     std::vector<std::uint32_t> cum;
